@@ -70,7 +70,7 @@ where
             ipt_pool::par_chunks_init(
                 0..groups,
                 group_grain(m * w),
-                Scratch::new,
+                Scratch::leased,
                 |scratch: &mut Scratch<T>, sub| {
                     for g in sub {
                         if journal.is_some_and(|j| j.is_done(g)) {
@@ -88,7 +88,7 @@ where
                             });
                         }
                         let amounts: Vec<usize> = (j0..j0 + gw).map(|j| amount(j) % m).collect();
-                        rotate_group(us, m, n, j0, gw, &amounts, h);
+                        rotate_group(us, m, n, j0, gw, &amounts, h, scratch);
                         if let Some(j) = journal {
                             j.commit(g);
                         }
@@ -105,7 +105,8 @@ where
 }
 
 /// One group's two-phase rotation. `amounts[k]` is the (already reduced)
-/// left-rotation of column `j0 + k`.
+/// left-rotation of column `j0 + k`; both phases stage through `scratch`.
+#[allow(clippy::too_many_arguments)] // internal helper; grouping would obscure the call sites
 fn rotate_group<T: Copy + Send + Sync>(
     us: UnsafeSlice<'_, T>,
     m: usize,
@@ -114,6 +115,7 @@ fn rotate_group<T: Copy + Send + Sync>(
     gw: usize,
     amounts: &[usize],
     h: usize,
+    scratch: &mut Scratch<T>,
 ) {
     // Pick the coarse amount that minimizes the worst residual. For the
     // four rotation families the algorithm uses, amounts step by +1 or -1
@@ -137,10 +139,10 @@ fn rotate_group<T: Copy + Send + Sync>(
 
     // Coarse phase: rotate the group's m sub-rows left by `coarse`,
     // following the analytic cycles with one sub-row of scratch.
-    coarse_rotate_subrows(us, m, n, j0, gw, coarse);
+    coarse_rotate_subrows(us, m, n, j0, gw, coarse, scratch);
 
     // Fine phase: apply the bounded residual rotations block by block.
-    fine_rotate_left(us, m, n, j0, gw, &residuals, h);
+    fine_rotate_left(us, m, n, j0, gw, &residuals, h, scratch);
 }
 
 /// Coarse sub-row rotation: rows of the group move `i <- (i + r) mod m`
@@ -152,6 +154,7 @@ fn coarse_rotate_subrows<T: Copy + Send + Sync>(
     j0: usize,
     gw: usize,
     r: usize,
+    scratch: &mut Scratch<T>,
 ) {
     let r = r % m;
     if r == 0 {
@@ -161,7 +164,8 @@ fn coarse_rotate_subrows<T: Copy + Send + Sync>(
     // k < gw — inside this task's column group.
     let idx = |row: usize, k: usize| row * n + j0 + k;
     let z = gcd(m as u64, r as u64) as usize;
-    let mut buf = vec![unsafe { us.get(idx(0, 0)) }; gw];
+    // Every slot is written before it is read, per cycle.
+    let buf = scratch.uninit_buf(gw, unsafe { us.get(idx(0, 0)) });
     for y in 0..z {
         for (k, slot) in buf.iter_mut().enumerate() {
             *slot = unsafe { us.get(idx(y, k)) };
@@ -186,7 +190,8 @@ fn coarse_rotate_subrows<T: Copy + Send + Sync>(
 /// Fine blocked rotation: column `j0 + k` rotates left by `residuals[k]`
 /// (each `< m`), processed in on-cache row blocks of height `h`, with the
 /// wrap-around rows stashed up front (§4.6). Skipped when all residuals
-/// are zero.
+/// are zero. The stash and the block share one `scratch` request.
+#[allow(clippy::too_many_arguments)] // internal helper; grouping would obscure the call sites
 fn fine_rotate_left<T: Copy + Send + Sync>(
     us: UnsafeSlice<'_, T>,
     m: usize,
@@ -195,6 +200,7 @@ fn fine_rotate_left<T: Copy + Send + Sync>(
     gw: usize,
     residuals: &[usize],
     h: usize,
+    scratch: &mut Scratch<T>,
 ) {
     let maxres = residuals.iter().copied().max().unwrap_or(0);
     if maxres == 0 {
@@ -204,14 +210,16 @@ fn fine_rotate_left<T: Copy + Send + Sync>(
     let idx = |row: usize, k: usize| row * n + j0 + k;
     // Stash rows [0, maxres): overwritten by the first blocks but still
     // needed as wrap-around sources by the last ones.
+    // Both halves are fully written before they are read.
     let fill = unsafe { us.get(idx(0, 0)) };
-    let mut stash = vec![fill; maxres * gw];
+    let (stash, block) = scratch
+        .uninit_buf((maxres + h.min(m)) * gw, fill)
+        .split_at_mut(maxres * gw);
     for i in 0..maxres {
         for (k, slot) in stash[i * gw..(i + 1) * gw].iter_mut().enumerate() {
             *slot = unsafe { us.get(idx(i, k)) };
         }
     }
-    let mut block = vec![fill; h.min(m) * gw];
     let mut i0 = 0usize;
     while i0 < m {
         let he = h.min(m - i0);
@@ -240,6 +248,7 @@ fn fine_rotate_left<T: Copy + Send + Sync>(
 /// by `residuals[k]` (gather `dst[i] = src[(i - r) mod m]`). Blocks are
 /// processed bottom-up so sources above each block stay unmodified, with
 /// the *last* `maxres` rows stashed for the wrap-around at the top.
+#[allow(clippy::too_many_arguments)] // internal helper; grouping would obscure the call sites
 fn fine_rotate_right<T: Copy + Send + Sync>(
     us: UnsafeSlice<'_, T>,
     m: usize,
@@ -248,6 +257,7 @@ fn fine_rotate_right<T: Copy + Send + Sync>(
     gw: usize,
     residuals: &[usize],
     h: usize,
+    scratch: &mut Scratch<T>,
 ) {
     let maxres = residuals.iter().copied().max().unwrap_or(0);
     if maxres == 0 {
@@ -257,14 +267,16 @@ fn fine_rotate_right<T: Copy + Send + Sync>(
     let idx = |row: usize, k: usize| row * n + j0 + k;
     // Stash rows [m - maxres, m): they wrap to the top destinations but
     // are overwritten by the bottom-up sweep before the top is reached.
+    // Both halves are fully written before they are read.
     let fill = unsafe { us.get(idx(0, 0)) };
-    let mut stash = vec![fill; maxres * gw];
+    let (stash, block) = scratch
+        .uninit_buf((maxres + h.min(m)) * gw, fill)
+        .split_at_mut(maxres * gw);
     for i in 0..maxres {
         for (k, slot) in stash[i * gw..(i + 1) * gw].iter_mut().enumerate() {
             *slot = unsafe { us.get(idx(m - maxres + i, k)) };
         }
     }
-    let mut block = vec![fill; h.min(m) * gw];
     let mut end = m;
     while end > 0 {
         let he = h.min(end);
@@ -444,8 +456,8 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
             ipt_pool::par_chunks_init(
                 0..groups,
                 group_grain(m * w),
-                || (vec![false; m], vec![fill; w], Scratch::new()),
-                |(visited, buf, scratch), sub| {
+                || (vec![false; m], Scratch::leased()),
+                |(visited, scratch), sub| {
                     for g in sub {
                         if journal.is_some_and(|j| j.is_done(g)) {
                             continue;
@@ -461,8 +473,9 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
                             });
                         }
                         let residuals: Vec<usize> = (0..gw).map(|k| k % m).collect();
-                        fine_rotate_left(us, m, n, j0, gw, &residuals, h);
+                        fine_rotate_left(us, m, n, j0, gw, &residuals, h, scratch);
                         let j0m = j0 % m;
+                        let buf = scratch.uninit_buf(gw, fill);
                         permute_subrows(us, m, n, j0, gw, |i| (p.q(i) + j0m) % m, visited, buf);
                         if let Some(j) = journal {
                             j.commit(g);
@@ -509,8 +522,8 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
             ipt_pool::par_chunks_init(
                 0..groups,
                 group_grain(m * w),
-                || (vec![false; m], vec![fill; w], Scratch::new()),
-                |(visited, buf, scratch), sub| {
+                || (vec![false; m], Scratch::leased()),
+                |(visited, scratch), sub| {
                     for g in sub {
                         if journal.is_some_and(|j| j.is_done(g)) {
                             continue;
@@ -534,10 +547,10 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
                             gw,
                             |i| p.q_inv((i + m - j0m) % m),
                             visited,
-                            buf,
+                            scratch.uninit_buf(gw, fill),
                         );
                         let residuals: Vec<usize> = (0..gw).map(|k| k % m).collect();
-                        fine_rotate_right(us, m, n, j0, gw, &residuals, h);
+                        fine_rotate_right(us, m, n, j0, gw, &residuals, h, scratch);
                         if let Some(j) = journal {
                             j.commit(g);
                         }
@@ -632,13 +645,14 @@ mod tests {
                     let scope = CheckScope::new(m * n, n, || "fine rotate test".to_string());
                     let us = UnsafeSlice::new(&mut a, &scope);
                     let groups = n.div_ceil(w);
+                    let mut scratch = Scratch::new();
                     for g in 0..groups {
                         let j0 = g * w;
                         let gw = w.min(n - j0);
                         us.claim_columns(g, j0, gw);
                         let res: Vec<usize> = (0..gw).map(|k| (k * 2 + 1) % m).collect();
-                        fine_rotate_left(us, m, n, j0, gw, &res, h);
-                        fine_rotate_right(us, m, n, j0, gw, &res, h);
+                        fine_rotate_left(us, m, n, j0, gw, &res, h, &mut scratch);
+                        fine_rotate_right(us, m, n, j0, gw, &res, h, &mut scratch);
                     }
                     assert_eq!(a, orig, "{m}x{n} w={w} h={h}");
                 }

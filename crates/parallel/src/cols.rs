@@ -8,9 +8,10 @@
 //! versions are the ablation baseline and the correctness reference.
 //!
 //! Safety: each worker touches only its own column groups' indices; see
-//! `unsafe_slice` for the disjointness argument. Per-worker scratch comes
-//! from [`ipt_pool::Scratch`], created once per worker and reused across
-//! all the groups that worker owns.
+//! `unsafe_slice` for the disjointness argument. Per-worker scratch is a
+//! [`ipt_pool::Scratch::leased`] buffer: leased once per worker part,
+//! reused across all the groups that part owns, and retained by the
+//! worker's thread for the next pass.
 
 use crate::group_grain;
 use crate::recover;
@@ -53,7 +54,7 @@ where
     ipt_pool::par_chunks_init(
         0..groups,
         group_grain(m * w),
-        Scratch::new,
+        Scratch::leased,
         |scratch, sub| {
             for g in sub {
                 if journal.is_some_and(|j| j.is_done(g)) {
@@ -270,7 +271,8 @@ where
                 )
             });
             let us = UnsafeSlice::new(data, &scope);
-            ipt_pool::par_chunks_init(0..nb * groups, task_grain, Scratch::new, |scratch, sub| {
+            let tasks = 0..nb * groups;
+            ipt_pool::par_chunks_init(tasks, task_grain, Scratch::leased, |scratch, sub| {
                 // The scratch buffer is sized once per worker (to the full
                 // group width), asserted below via capacity stability.
                 let mut sized_cap = None;
@@ -358,12 +360,13 @@ where
                     if let Some(jr) = journal {
                         jr.commit(t);
                     }
-                    // 2-cycle-only tasks never touch the buffer, so the
-                    // capacity may go 0 -> sized exactly once; it must never
-                    // change after that first sizing. Armed recovery captures
-                    // snapshots through owned buffers, never this storage.
+                    // 2-cycle-only tasks never touch the buffer; the first
+                    // task that does sizes it (the lease may start from any
+                    // retained capacity), and it must never change after
+                    // that. Armed recovery captures snapshots through owned
+                    // buffers, never this storage.
                     let cap_now = scratch.capacity();
-                    if cap_now != 0 {
+                    if bundle.members.iter().any(|&ci| cycles.lengths[ci] != 2) {
                         match sized_cap {
                             None => sized_cap = Some(cap_now),
                             Some(cap) => debug_assert_eq!(

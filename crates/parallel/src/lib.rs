@@ -9,7 +9,7 @@
 //!
 //! * [`c2r_parallel`] / [`r2c_parallel`] / [`transpose_parallel`] —
 //!   data-parallel versions of the three-step algorithm on the workspace's
-//!   own `ipt-pool` scoped-thread executor (the paper's §5.1 OpenMP CPU
+//!   own `ipt-pool` resident-worker executor (the paper's §5.1 OpenMP CPU
 //!   implementation, and the thread-grid skeleton of its GPU
 //!   implementation);
 //! * [`cache_aware`] — the §4.6 two-phase (coarse cycle-following + fine
@@ -349,6 +349,18 @@ mod tests {
     use super::*;
     use ipt_core::check::{fill_pattern, is_transposed_pattern};
     use ipt_core::Scratch;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes this module's tests. Each runs transposes that record
+    /// phase bytes into the process-global stats, and
+    /// `phases_are_attributed` / `coprime_shapes_report_no_rotation_bytes`
+    /// assert exact byte counts over a snapshot delta, which a sibling
+    /// test running concurrently would inflate.
+    static STATS_LOCK: Mutex<()> = Mutex::new(());
+
+    fn stats_lock() -> MutexGuard<'static, ()> {
+        STATS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn sizes() -> Vec<(usize, usize)> {
         let mut v = Vec::new();
@@ -377,6 +389,7 @@ mod tests {
 
     #[test]
     fn parallel_c2r_matches_sequential() {
+        let _serial = stats_lock();
         crate::force_multithreaded_pool();
         for opts in [ParOptions::default(), ParOptions::plain()] {
             for (m, n) in sizes() {
@@ -392,6 +405,7 @@ mod tests {
 
     #[test]
     fn parallel_r2c_matches_sequential() {
+        let _serial = stats_lock();
         crate::force_multithreaded_pool();
         for opts in [ParOptions::default(), ParOptions::plain()] {
             for (m, n) in sizes() {
@@ -407,6 +421,7 @@ mod tests {
 
     #[test]
     fn parallel_transpose_both_layouts() {
+        let _serial = stats_lock();
         crate::force_multithreaded_pool();
         for layout in [Layout::RowMajor, Layout::ColMajor] {
             for (m, n) in sizes() {
@@ -423,6 +438,7 @@ mod tests {
 
     #[test]
     fn tiny_group_widths_still_correct() {
+        let _serial = stats_lock();
         crate::force_multithreaded_pool();
         for w in [1usize, 2, 3, 5] {
             let opts = ParOptions {
@@ -443,6 +459,7 @@ mod tests {
 
     #[test]
     fn forced_algorithms_agree_with_heuristic() {
+        let _serial = stats_lock();
         for alg in [
             ipt_core::Algorithm::C2r,
             ipt_core::Algorithm::R2c,
@@ -463,6 +480,7 @@ mod tests {
 
     #[test]
     fn phases_are_attributed() {
+        let _serial = stats_lock();
         crate::force_multithreaded_pool();
         let (m, n) = (60usize, 48usize); // gcd > 1: pre/post rotations run
         let before = ipt_pool::stats::snapshot();
@@ -492,6 +510,7 @@ mod tests {
 
     #[test]
     fn coprime_shapes_report_no_rotation_bytes() {
+        let _serial = stats_lock();
         crate::force_multithreaded_pool();
         let (m, n) = (61usize, 48usize); // gcd = 1: rotations are no-ops
         let before = ipt_pool::stats::snapshot();
@@ -508,6 +527,7 @@ mod tests {
 
     #[test]
     fn roundtrip_parallel() {
+        let _serial = stats_lock();
         crate::force_multithreaded_pool();
         let (m, n) = (40usize, 72usize);
         let mut a = vec![0u64; m * n];

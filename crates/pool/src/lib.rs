@@ -1,12 +1,22 @@
-//! # ipt-pool — a zero-dependency scoped-thread parallel executor
+//! # ipt-pool — a zero-dependency resident-worker parallel executor
 //!
 //! The decomposition's parallel structure (paper §1, §5.1) is as regular
 //! as data parallelism gets: every row permutation is independent of every
 //! other row, every column group independent of every other group, and all
 //! units cost the same. Work-stealing buys nothing here — a static split
-//! of the index range over a handful of scoped threads achieves the same
-//! perfect load balance with no external dependencies, no global runtime
-//! and no startup cost beyond the `std::thread::scope` spawns themselves.
+//! of the index range over a handful of workers achieves the same perfect
+//! load balance with no external dependencies and no global runtime.
+//!
+//! The workers are **resident**: started on first use, they live for the
+//! whole process and park between dispatches, so a parallel loop costs a
+//! mailbox store and a wake-up instead of a thread spawn and join. The
+//! calling thread always runs part 0 itself. The resident set grows on
+//! demand to the widest width any dispatch asks for; a narrower dispatch
+//! uses a subset. A dispatch that finds the workers busy — one made from
+//! inside a running part, or from a second thread while another dispatch
+//! holds them — never waits: it runs its parts inline, in order, on its
+//! own thread, with the same panic boundaries, worker ids, watchdog
+//! registration and per-worker stats.
 //!
 //! Three primitives cover every parallel loop in the workspace:
 //!
@@ -22,22 +32,23 @@
 //!
 //! All primitives fall back to a plain sequential loop on the calling
 //! thread when the range is smaller than `min_grain` or only one thread is
-//! configured, so tiny matrices never pay spawn overhead.
+//! configured, so tiny matrices never touch the workers.
 //!
 //! Thread count resolution: [`Pool::new`]\(t) with `t > 0` is explicit;
 //! `t == 0` (and the module-level free functions) resolve the global
 //! default — [`set_num_threads`] if called, else the `IPT_THREADS`
-//! environment variable, else [`std::thread::available_parallelism`].
+//! environment variable, else [`std::thread::available_parallelism`]
+//! (read once per process).
 //!
 //! **Panic safety:** a panic inside a worker closure is caught at the
 //! chunk boundary (per block for [`par_chunks_exact_mut`], per worker
 //! subrange for the range primitives — the sequential fallback included)
 //! and surfaced as a structured [`PoolError`] from the primitive's
 //! `Result`, with [`stats`]' contained-panic counter bumped. Sibling
-//! workers are not cancelled — the scope still joins every part — so the
-//! data may hold a partial result, but the caller always learns about it
-//! instead of unwinding through a scoped join. When several workers
-//! panic, the error from the lowest worker id is returned.
+//! workers are not cancelled — every part still runs to its end before
+//! the primitive returns — so the data may hold a partial result, but the
+//! caller always learns about it. When several workers panic, the error
+//! from the lowest worker id is returned.
 //!
 //! Every primitive feeds the always-on [`stats`] counters (tasks
 //! dispatched, work items processed, scratch allocations vs. reuses,
@@ -62,6 +73,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod recovery;
+mod resident;
 pub mod scratch;
 pub mod stats;
 pub mod watchdog;
@@ -81,6 +93,10 @@ static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 /// `IPT_THREADS` parsed once.
 static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
 
+/// [`std::thread::available_parallelism`] read once: it reads cgroup
+/// files on every call, which would cost a dispatch more than the wake-up.
+static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
+
 /// Parse an `IPT_THREADS` value: a positive thread count after trimming
 /// whitespace. Zero and garbage are explicit errors, not silent fallbacks.
 fn parse_env_threads(raw: &str) -> Result<usize, String> {
@@ -98,7 +114,7 @@ fn env_threads() -> Option<usize> {
 ///
 /// Resolution order: [`set_num_threads`] override, then the `IPT_THREADS`
 /// environment variable, then [`std::thread::available_parallelism`]
-/// (falling back to 1 if unavailable).
+/// (falling back to 1 if unavailable), read once per process.
 pub fn num_threads() -> usize {
     let forced = GLOBAL_THREADS.load(Ordering::Relaxed);
     if forced > 0 {
@@ -107,7 +123,7 @@ pub fn num_threads() -> usize {
     if let Some(n) = env_threads() {
         return n;
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    *HARDWARE_THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Override the global pool's thread count for the whole process
@@ -302,7 +318,7 @@ where
 }
 
 /// Collect one part's failure; the caller returns the lowest worker id's
-/// error after the scope joins.
+/// error once every part has finished.
 fn push_failure(failures: &Mutex<Vec<PoolError>>, result: Result<(), PoolError>) {
     if let Err(e) = result {
         failures.lock().unwrap().push(e);
@@ -321,9 +337,10 @@ fn first_failure(failures: Mutex<Vec<PoolError>>) -> Result<(), PoolError> {
 
 /// A parallel executor handle: a thread count plus the chunking policy.
 ///
-/// `Pool` is `Copy` and stateless — threads are scoped per call (no
-/// persistent workers to manage or shut down), so a `Pool` is cheap to
-/// create, store in options structs, or share between threads.
+/// `Pool` is `Copy` and holds only its width: every `Pool` dispatches to
+/// the one process-wide set of resident workers (see the crate docs),
+/// which needs no setup and no shutdown. A `Pool` is cheap to create,
+/// store in options structs, or share between threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     threads: usize,
@@ -454,30 +471,12 @@ impl Pool {
             return run_range_part(0, range, &init, &body);
         }
         let len = range.end - range.start;
-        let base = len / parts;
-        let rem = len % parts;
-        let failures: Mutex<Vec<PoolError>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let mut lo = range.start;
-            let mut main_part = None;
-            for k in 0..parts {
-                let hi = lo + base + usize::from(k < rem);
-                if k == 0 {
-                    // The calling thread takes the first part itself: one
-                    // fewer spawn, and it stays busy while workers run.
-                    main_part = Some(lo..hi);
-                } else {
-                    let sub = lo..hi;
-                    let (init, body, failures) = (&init, &body, &failures);
-                    scope.spawn(move || push_failure(failures, run_range_part(k, sub, init, body)));
-                }
-                lo = hi;
-            }
-            debug_assert_eq!(lo, range.end);
-            if let Some(sub) = main_part {
-                push_failure(&failures, run_range_part(0, sub, &init, &body));
-            }
-            // Scope exit joins all workers; panics were contained above.
+        let (base, rem) = (len / parts, len % parts);
+        let failures = Mutex::new(Vec::new());
+        resident::run_parts(parts, &|k| {
+            let lo = range.start + k * base + k.min(rem);
+            let sub = lo..lo + base + usize::from(k < rem);
+            push_failure(&failures, run_range_part(k, sub, &init, &body));
         });
         first_failure(failures)
     }
@@ -539,37 +538,30 @@ impl Pool {
             let head = &mut data[..blocks * chunk_len];
             return run_block_part(0, 0, chunk_len, head, &init, &body);
         }
-        let base = blocks / parts;
-        let rem = blocks % parts;
-        let failures: Mutex<Vec<PoolError>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let mut tail = data;
-            let mut b0 = 0usize;
-            let mut main_part: Option<(usize, &mut [T])> = None;
-            for k in 0..parts {
-                let nblocks = base + usize::from(k < rem);
-                let (head, rest) = std::mem::take(&mut tail).split_at_mut(nblocks * chunk_len);
+        let (base, rem) = (blocks / parts, blocks % parts);
+        // Split the slice, not the indices: part `k` takes its own run of
+        // blocks out of slot `k`, so no two parts can alias.
+        let mut tail = &mut data[..blocks * chunk_len];
+        let slots: Vec<Mutex<Option<&mut [T]>>> = (0..parts)
+            .map(|k| {
+                let len = (base + usize::from(k < rem)) * chunk_len;
+                let (head, rest) = std::mem::take(&mut tail).split_at_mut(len);
                 tail = rest;
-                if k == 0 {
-                    main_part = Some((b0, head));
-                } else {
-                    let (init, body, failures) = (&init, &body, &failures);
-                    let start = b0;
-                    scope.spawn(move || {
-                        push_failure(
-                            failures,
-                            run_block_part(k, start, chunk_len, head, init, body),
-                        );
-                    });
-                }
-                b0 += nblocks;
-            }
-            if let Some((start, head)) = main_part {
-                push_failure(
-                    &failures,
-                    run_block_part(0, start, chunk_len, head, &init, &body),
-                );
-            }
+                Mutex::new(Some(head))
+            })
+            .collect();
+        let failures = Mutex::new(Vec::new());
+        resident::run_parts(parts, &|k| {
+            let head = slots[k]
+                .lock()
+                .expect("a slot lock is never held across a panic")
+                .take()
+                .expect("every part runs once");
+            let start = k * base + k.min(rem);
+            push_failure(
+                &failures,
+                run_block_part(k, start, chunk_len, head, &init, &body),
+            );
         });
         first_failure(failures)
     }

@@ -7,6 +7,17 @@
 //! pattern: a growable buffer that hands out exactly-sized slices without
 //! reallocating in steady state, so the per-chunk cost after warm-up is a
 //! `fill` (or nothing, via [`Scratch::uninit_buf`]'s overwrite contract).
+//!
+//! [`Scratch::leased`] goes one step further for the pool's resident
+//! workers, which outlive any one dispatch: the scratch starts from the
+//! buffer this thread retained when its previous lease ended, so a column
+//! pass reuses the allocation of the pass before it instead of growing a
+//! fresh one per dispatch.
+
+use std::alloc::Layout;
+use std::cell::Cell;
+use std::mem::ManuallyDrop;
+use std::ptr::NonNull;
 
 /// A reusable, growable scratch buffer for `Copy` elements.
 ///
@@ -16,6 +27,9 @@
 /// path — and flushed into [`crate::stats`] when the scratch drops, so
 /// [`crate::stats::snapshot`] shows whether workers reach allocation-free
 /// steady state.
+///
+/// A scratch from [`Scratch::leased`] also hands its storage back to the
+/// current thread when it drops (see there).
 ///
 /// ```
 /// use ipt_pool::Scratch;
@@ -34,6 +48,10 @@ pub struct Scratch<T> {
     allocs: u64,
     /// Requests served from existing capacity (flushed on drop).
     reuses: u64,
+    /// The largest request made, which bounds what a lease retains.
+    peak: usize,
+    /// Whether the storage goes back to the thread on drop.
+    leased: bool,
 }
 
 impl<T: Copy> Scratch<T> {
@@ -43,6 +61,34 @@ impl<T: Copy> Scratch<T> {
             storage: Vec::new(),
             allocs: 0,
             reuses: 0,
+            peak: 0,
+            leased: false,
+        }
+    }
+
+    /// A scratch that starts from the buffer this thread retained from its
+    /// previous lease (empty if none fits `T`'s layout) and retains its own
+    /// storage again when it drops.
+    ///
+    /// Each thread retains at most one buffer, no larger than twice the
+    /// largest request of the lease that stored it — one `O(max(m, n))`
+    /// request per thread, the paper's auxiliary-space bound. Owned
+    /// [`Scratch::capture`] snapshots are never retained. The tallies
+    /// flush into [`crate::stats`] on drop, as for any scratch.
+    ///
+    /// ```
+    /// use ipt_pool::{stats, Scratch};
+    ///
+    /// Scratch::<u64>::leased().filled_buf(64, 0); // grows, then retained
+    /// let before = stats::snapshot();
+    /// Scratch::<u64>::leased().filled_buf(64, 1); // served from the retained buffer
+    /// assert!(stats::snapshot().delta_since(&before).scratch_reuses >= 1);
+    /// ```
+    pub fn leased() -> Scratch<T> {
+        Scratch {
+            storage: retained::take(),
+            leased: true,
+            ..Scratch::new()
         }
     }
 
@@ -50,14 +96,14 @@ impl<T: Copy> Scratch<T> {
     pub fn with_capacity(len: usize) -> Scratch<T> {
         Scratch {
             storage: Vec::with_capacity(len),
-            allocs: 0,
-            reuses: 0,
+            ..Scratch::new()
         }
     }
 
     /// Tally whether a `len`-element request grows the allocation.
     #[inline]
     fn note_request(&mut self, len: usize) {
+        self.peak = self.peak.max(len);
         if len > self.storage.capacity() {
             self.allocs += 1;
         } else {
@@ -116,6 +162,8 @@ impl<T: Clone> Clone for Scratch<T> {
             storage: self.storage.clone(),
             allocs: 0,
             reuses: 0,
+            peak: 0,
+            leased: false,
         }
     }
 }
@@ -123,6 +171,83 @@ impl<T: Clone> Clone for Scratch<T> {
 impl<T> Drop for Scratch<T> {
     fn drop(&mut self) {
         crate::stats::record_scratch(self.allocs, self.reuses);
+        if self.leased {
+            let mut storage = std::mem::take(&mut self.storage);
+            if storage.capacity() > 2 * self.peak.max(1) {
+                storage.clear();
+                storage.shrink_to(self.peak);
+            }
+            retained::put(storage);
+        }
+    }
+}
+
+/// The one buffer each thread retains between leases, type-erased to its
+/// element layout so any `T` of the same size and alignment can reuse it.
+/// (A `Box<dyn Any>` slot would be safe code, but `Any` needs
+/// `T: 'static`, a bound the public generic transposes do not carry.)
+mod retained {
+    use super::*;
+
+    /// A retained allocation: `cap` elements of layout `elem`, made by a
+    /// `Vec` through the global allocator with layout `bytes`.
+    pub(super) struct Retained {
+        ptr: NonNull<u8>,
+        cap: usize,
+        elem: Layout,
+        bytes: Layout,
+    }
+
+    impl Drop for Retained {
+        fn drop(&mut self) {
+            // SAFETY: `ptr` was allocated by a `Vec` whose allocation has
+            // layout `bytes`, and nothing else owns it.
+            unsafe { std::alloc::dealloc(self.ptr.as_ptr(), self.bytes) };
+        }
+    }
+
+    thread_local! {
+        static RETAINED: Cell<Option<Retained>> = const { Cell::new(None) };
+    }
+
+    /// This thread's retained buffer as an empty `Vec<T>`, if its element
+    /// layout is `T`'s; otherwise (or with nothing retained) a new `Vec`.
+    pub(super) fn take<T>() -> Vec<T> {
+        let Some(r) = RETAINED.try_with(Cell::take).ok().flatten() else {
+            return Vec::new();
+        };
+        if r.elem != Layout::new::<T>() {
+            return Vec::new(); // `r` drops: one buffer per thread.
+        }
+        let r = ManuallyDrop::new(r);
+        // SAFETY: the allocation came from a `Vec` of `r.cap` elements
+        // whose size and alignment equal `T`'s, so it is the allocation a
+        // `Vec<T>` of capacity `r.cap` would own; length 0 reads nothing.
+        unsafe { Vec::from_raw_parts(r.ptr.as_ptr().cast::<T>(), 0, r.cap) }
+    }
+
+    /// Retain `storage`'s allocation for this thread's next lease,
+    /// replacing (and freeing) whatever was retained before.
+    pub(super) fn put<T>(mut storage: Vec<T>) {
+        storage.clear();
+        if storage.capacity() == 0 || std::mem::size_of::<T>() == 0 {
+            return;
+        }
+        // A `Vec<T>` of capacity `cap` owns exactly `Layout::array::<T>(cap)`.
+        let Ok(bytes) = Layout::array::<T>(storage.capacity()) else {
+            return;
+        };
+        let mut storage = ManuallyDrop::new(storage);
+        let r = Retained {
+            ptr: NonNull::new(storage.as_mut_ptr().cast::<u8>())
+                .expect("a Vec pointer is never null"),
+            cap: storage.capacity(),
+            elem: Layout::new::<T>(),
+            bytes,
+        };
+        // During thread teardown the slot may be gone; `r` then frees the
+        // buffer as the closure drops unrun.
+        let _ = RETAINED.try_with(move |slot| slot.set(Some(r)));
     }
 }
 
@@ -177,6 +302,51 @@ mod tests {
         assert_eq!(snap, [4, 5, 6]);
         let d = crate::stats::snapshot().delta_since(&before);
         assert!(d.scratch_allocs >= 1, "{d:?}");
+    }
+
+    #[test]
+    fn lease_reuses_the_previous_lease_buffer() {
+        {
+            let mut s: Scratch<u32> = Scratch::leased();
+            s.filled_buf(100, 0);
+        }
+        let mut s: Scratch<u32> = Scratch::leased();
+        assert!(s.capacity() >= 100);
+        assert_eq!(s.filled_buf(100, 3), &[3; 100]);
+        assert_eq!((s.allocs, s.reuses), (0, 1));
+        drop(s);
+        // Same layout, other type: the buffer serves it too, contents
+        // fully rewritten by the request.
+        let mut f: Scratch<f32> = Scratch::leased();
+        assert!(f.capacity() >= 100);
+        assert_eq!(f.filled_buf(4, 1.5), &[1.5; 4]);
+    }
+
+    #[test]
+    fn lease_retains_at_most_twice_its_largest_request() {
+        {
+            let mut s: Scratch<u64> = Scratch::leased();
+            s.filled_buf(10_000, 0);
+        }
+        {
+            let mut s: Scratch<u64> = Scratch::leased();
+            s.filled_buf(16, 0); // served by the big buffer...
+        } // ...which this lease shrinks to its own peak before retaining.
+        let s: Scratch<u64> = Scratch::leased();
+        assert!(s.capacity() >= 16 && s.capacity() <= 32, "{}", s.capacity());
+    }
+
+    #[test]
+    fn lease_of_another_layout_starts_empty() {
+        {
+            let mut s: Scratch<u8> = Scratch::leased();
+            s.filled_buf(64, 0);
+        }
+        let s: Scratch<u64> = Scratch::leased();
+        assert_eq!(s.capacity(), 0);
+        // Zero-sized types never retain anything.
+        let mut z: Scratch<()> = Scratch::leased();
+        z.filled_buf(8, ());
     }
 
     #[test]

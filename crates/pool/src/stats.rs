@@ -457,8 +457,8 @@ pub struct PoolStats {
     /// [`Scratch`](crate::Scratch) requests served from capacity.
     pub scratch_reuses: u64,
     /// Worker panics caught at a chunk boundary and surfaced as
-    /// [`PoolError`](crate::PoolError) instead of unwinding through the
-    /// scoped join. Nonzero means some parallel loop returned `Err` — a
+    /// [`PoolError`](crate::PoolError) instead of unwinding out of a
+    /// worker. Nonzero means some parallel loop returned `Err` — a
     /// fault-injection run, or a real bug the containment turned from UB
     /// into a reported abort.
     pub panics_contained: u64,
@@ -611,8 +611,12 @@ impl PoolStats {
 ///
 /// Counters are read with relaxed ordering: a snapshot taken while other
 /// threads are mid-flight is a consistent-enough lower bound, exact once
-/// the work being measured has joined (which `std::thread::scope`
-/// guarantees for every pool primitive).
+/// the work being measured has joined. Every pool primitive joins before
+/// it returns: each resident worker counts the dispatch's latch down
+/// (Release) only after its part — and the part's stats and scratch
+/// tallies — has finished, and the caller waits for the latch with
+/// Acquire, so a snapshot taken right after a primitive returns holds
+/// every part's counts.
 pub fn snapshot() -> PoolStats {
     let phases = PHASES
         .lock()

@@ -2,8 +2,8 @@
 //!
 //! Panic containment and undo/retry recovery cover every fault that
 //! *unwinds* — but a task that simply stops making progress (deadlock,
-//! livelock, an injected `hang:<rate>` fault) defeats both: the scoped
-//! join waits forever and the process wedges with no diagnostic. This
+//! livelock, an injected `hang:<rate>` fault) defeats both: the
+//! dispatch's join waits forever and the process wedges with no diagnostic. This
 //! module is the net for that failure class.
 //!
 //! When `IPT_WATCHDOG_MS` is set (or a test forces a timeout), every

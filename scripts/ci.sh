@@ -117,8 +117,9 @@ contained_bench() {
 
 miri_stage() {
     stage "miri: ipt-core + ipt-pool under the interpreter (tier 3, soft)"
-    # Miri interprets the unsafe core (raw-pointer kernels, the scoped
-    # executor) and catches UB tests can't. It needs a nightly toolchain
+    # Miri interprets the unsafe core (raw-pointer kernels, the resident
+    # executor's lifetime-erased jobs and join latch, the retained scratch
+    # buffers) and catches UB tests can't. It needs a nightly toolchain
     # with the miri component — not part of the pinned CI toolchain — so
     # skip cleanly when absent instead of failing a stable-only box.
     if ! rustup run nightly cargo miri --version > /dev/null 2>&1; then
