@@ -3,7 +3,6 @@
 //!
 //! * §4.4 arithmetic strength reduction — `C2rParams` (fixed-point
 //!   reciprocals) vs the naive `/`, `%` transcription;
-//! * §4.6–4.7 cache-aware column primitives vs plain strided walks;
 //! * gather- vs scatter-based row shuffle (§5.1 chose gather);
 //! * direct column shuffle vs the §4.1 restricted decomposition;
 //! * §4.6 zero-scratch cycle rotation vs Algorithm 1's scratch rotation;
@@ -47,29 +46,6 @@ fn strength_reduction(c: &mut Criterion) {
                 acc = acc.wrapping_add(s.d_inv(black_box(500), j));
             }
             acc
-        })
-    });
-    g.finish();
-}
-
-fn cache_aware_columns(c: &mut Criterion) {
-    let (m, n) = (1024usize, 768usize);
-    let mut buf = vec![0u64; m * n];
-    let mut g = c.benchmark_group("ablation/cache-aware");
-    g.throughput(Throughput::Bytes((2 * m * n * 8) as u64));
-    g.sample_size(10);
-    g.bench_function("cache-aware", |b| {
-        let opts = ParOptions::default();
-        b.iter(|| {
-            fill(&mut buf);
-            ipt_parallel::c2r_parallel(black_box(&mut buf), m, n, &opts).unwrap();
-        })
-    });
-    g.bench_function("plain-strided", |b| {
-        let opts = ParOptions::plain();
-        b.iter(|| {
-            fill(&mut buf);
-            ipt_parallel::c2r_parallel(black_box(&mut buf), m, n, &opts).unwrap();
         })
     });
     g.finish();
@@ -210,30 +186,6 @@ fn direction_heuristic(c: &mut Criterion) {
     g.finish();
 }
 
-fn incremental_indexing(c: &mut Criterion) {
-    // The engine's incremental d' recurrence vs the §4.4 fastdiv gather —
-    // both permute identically; only the index generation differs.
-    let (m, n) = (768usize, 2048usize);
-    let p = C2rParams::new(m, n);
-    let mut buf = vec![0u64; m * n];
-    let mut g = c.benchmark_group("ablation/row-shuffle-indexing");
-    g.throughput(Throughput::Bytes((2 * m * n * 8) as u64));
-    g.sample_size(10);
-    g.bench_function("incremental", |b| {
-        b.iter(|| {
-            fill(&mut buf);
-            ipt_parallel::rows::row_shuffle_parallel(black_box(&mut buf), &p).unwrap();
-        })
-    });
-    g.bench_function("fastdiv-gather", |b| {
-        b.iter(|| {
-            fill(&mut buf);
-            ipt_parallel::rows::row_shuffle_parallel_fastdiv(black_box(&mut buf), &p).unwrap();
-        })
-    });
-    g.finish();
-}
-
 fn fused_column_shuffle(c: &mut Criterion) {
     let (m, n) = (1024usize, 768usize);
     let p = C2rParams::new(m, n);
@@ -315,13 +267,11 @@ fn special_case_dow(c: &mut Criterion) {
 criterion_group!(
     benches,
     strength_reduction,
-    cache_aware_columns,
     row_shuffle_direction,
     col_shuffle_decomposition,
     rotation_style,
     skinny_specialization,
     direction_heuristic,
-    incremental_indexing,
     fused_column_shuffle,
     copy_vs_swap_formulations,
     special_case_dow

@@ -56,13 +56,14 @@ and only cuts samples. --history DIR also archives the run into DIR as
 a dated file (SOURCE_DATE_EPOCH makes the stamp deterministic); --keep N
 then prunes the suite's archive to the N newest files, oldest first
 (default from IPT_BENCH_HISTORY_KEEP when set). --scaling (parallel and
-aos suites only) appends a tall-skinny 65536x8 shape — the regime where
-the cycle-bundle row-permute scheduler carries all the parallelism — and,
-for the parallel suite on a multi-thread pool, additionally measures a
-1-thread r2c_parallel_plain_1t twin so one report carries both ends of
-the scaling-efficiency ratio. Parallel entries also stamp the
-cycle-bundle scheduler's tallies (schedules, bundles, weight imbalance)
-under \"sched\".
+aos suites only) appends a tall-skinny 65536x8 shape — one column group
+of the default u64 width, so the column passes cannot split it across
+workers — and, for the parallel suite on a multi-thread pool,
+additionally measures a 1-thread r2c_parallel_1t twin of r2c_parallel
+so one report carries both ends of the scaling-efficiency ratio. An
+entry whose timed region ran the cycle-bundle row-permute scheduler
+stamps its tallies (schedules, bundles, weight imbalance) under
+\"sched\"; the default engine's passes do not run it.
 Every report stamps the kernel-dispatch decision tier (override when
 IPT_KERNEL forces a kernel, calibrated when an IPT_CALIBRATION profile
 loaded, static otherwise) and the loaded profile's content hash.
@@ -126,9 +127,10 @@ const BATCHED_SHAPES: [(usize, usize); 3] = [(192, 256), (320, 96), (257, 131)];
 /// matrices, small enough that a `--quick` debug run stays fast.
 const BATCH: usize = 16;
 
-/// The `--scaling` shape: tall-skinny enough (one column group of the
-/// default u64 width) that the cycle-bundle row-permute scheduler is the
-/// *only* source of parallelism — the regime the scaling twin measures.
+/// The `--scaling` shape: tall-skinny enough to be one column group of
+/// the default u64 width, so the engine's column passes run as a single
+/// task and only the row pass can spread across workers — the regime the
+/// `r2c_parallel_1t` scaling twin measures.
 const TALL_SKINNY: (usize, usize) = (65536, 8);
 
 struct BenchOpts {
@@ -141,8 +143,8 @@ struct BenchOpts {
     /// share breakdown (`crate::model::model_stamp`).
     model: bool,
     /// Append the [`TALL_SKINNY`] shape (and, for the parallel suite on
-    /// a multi-thread pool, a 1-thread plain-R2C twin entry) so one
-    /// report carries the cycle-bundle scaling-efficiency ratio.
+    /// a multi-thread pool, a 1-thread `r2c_parallel_1t` twin entry) so
+    /// one report carries the scaling-efficiency ratio.
     scaling: bool,
     /// `--compare` paths: `(OLD, Some(NEW))` pairwise, `(NEW, None)`
     /// with `--history`.
@@ -576,18 +578,6 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
                         .unwrap_or_else(|e| abort_exit(e))
                 }),
             ),
-            (
-                "c2r_parallel_plain",
-                Box::new(|buf: &mut [u64], m, n| {
-                    c2r_parallel(buf, m, n, &ParOptions::plain()).unwrap_or_else(|e| abort_exit(e))
-                }),
-            ),
-            (
-                "r2c_parallel_plain",
-                Box::new(|buf: &mut [u64], m, n| {
-                    r2c_parallel(buf, m, n, &ParOptions::plain()).unwrap_or_else(|e| abort_exit(e))
-                }),
-            ),
         ],
         "kernels" => {
             // Row-shuffle pass only (the hot path the kernel family
@@ -688,16 +678,16 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
         }
     }
     if suite == "parallel" && opts.scaling && threads > 1 {
-        // The 1-thread twin of the plain R2C path: the denominator of the
-        // cycle-bundle scaling-efficiency ratio, in the same report so
-        // one file answers "what did N threads buy on this host".
+        // The 1-thread twin of r2c_parallel: the denominator of the
+        // scaling-efficiency ratio, in the same report so one file
+        // answers "what did N threads buy on this host".
         ipt_pool::set_num_threads(1);
         let mut run = |buf: &mut [u64], m: usize, n: usize| {
-            r2c_parallel(buf, m, n, &ParOptions::plain()).unwrap_or_else(|e| abort_exit(e))
+            r2c_parallel(buf, m, n, &ParOptions::default()).unwrap_or_else(|e| abort_exit(e))
         };
         for &(m, n) in &shapes {
             let e = measure(
-                "r2c_parallel_plain_1t",
+                "r2c_parallel_1t",
                 m,
                 n,
                 elems_per_call(m, n),
@@ -708,7 +698,7 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
             print_entry(&e);
             let nt = entries
                 .iter()
-                .find(|x| x.algorithm == "r2c_parallel_plain" && x.m == m && x.n == n);
+                .find(|x| x.algorithm == "r2c_parallel" && x.m == m && x.n == n);
             if let Some(nt) = nt {
                 if e.median_gbps > 0.0 && nt.median_gbps.is_finite() {
                     let speedup = nt.median_gbps / e.median_gbps;

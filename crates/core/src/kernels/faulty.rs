@@ -53,7 +53,7 @@ mod active {
     use super::FaultMode;
     use crate::check::Rng;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::OnceLock;
+    use std::sync::{Mutex, OnceLock, PoisonError};
 
     /// Fixed seed for injection decisions: determinism is the whole point.
     const SEED: u64 = 0x1975_F4A7_C15B_F0D1;
@@ -75,6 +75,8 @@ mod active {
     static INJECTED_PANICS: AtomicU64 = AtomicU64::new(0);
     /// Skews actually injected since process start.
     static INJECTED_SKEWS: AtomicU64 = AtomicU64::new(0);
+    /// The same skews, split by site name.
+    static SITE_SKEWS: Mutex<Vec<(&'static str, u64)>> = Mutex::new(Vec::new());
     /// Hangs actually injected since process start (counted just before
     /// the worker stops making progress, so a watchdog report can be
     /// correlated with the injection tally by an outside observer).
@@ -160,6 +162,17 @@ mod active {
         )
     }
 
+    /// Skews injected so far at `site`. Tests bracket a region with two
+    /// reads to prove a given site family is live, not merely that some
+    /// site fired.
+    pub fn skews_at(site: &str) -> u64 {
+        let sites = SITE_SKEWS.lock().unwrap_or_else(PoisonError::into_inner);
+        sites
+            .iter()
+            .find(|(s, _)| *s == site)
+            .map_or(0, |&(_, c)| c)
+    }
+
     /// Deterministic per-(site, item) coin flip at `rate`.
     fn decide(site: &str, item: usize, rate: f64) -> bool {
         if rate <= 0.0 {
@@ -210,6 +223,11 @@ mod active {
         if let Some(FaultMode::Skew(rate)) = mode() {
             if gw < n && decide(site, j, rate) {
                 INJECTED_SKEWS.fetch_add(1, Ordering::Relaxed);
+                let mut sites = SITE_SKEWS.lock().unwrap_or_else(PoisonError::into_inner);
+                match sites.iter_mut().find(|(s, _)| *s == site) {
+                    Some((_, c)) => *c += 1,
+                    None => sites.push((site, 1)),
+                }
                 // Map into [j0 + gw, j0 + gw + (n - gw)) mod n: exactly the
                 // complement of the owning group's columns.
                 return (j0 + gw + ((j - j0) % (n - gw))) % n;
@@ -220,7 +238,9 @@ mod active {
 }
 
 #[cfg(feature = "fault-inject")]
-pub use active::{force, injection_counts, maybe_panic, parse_fault, skew_column, unforce};
+pub use active::{
+    force, injection_counts, maybe_panic, parse_fault, skew_column, skews_at, unforce,
+};
 
 /// No-op stub: fault injection is compiled out without the `fault-inject`
 /// feature (see the module docs).
@@ -322,6 +342,11 @@ mod tests {
         );
         let (_, after, _) = injection_counts();
         assert_eq!(after - before, 2 * skewed as u64, "every skew counted");
+        assert_eq!(
+            skews_at("det_site"),
+            2 * skewed as u64,
+            "and counted per site"
+        );
         unforce();
     }
 

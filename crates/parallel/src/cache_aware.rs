@@ -37,13 +37,14 @@ use ipt_core::kernels::faulty;
 use ipt_pool::{PoolError, Scratch};
 
 /// Rotate every column `j` left by `amount(j)` using the two-phase
-/// cache-aware scheme, column groups of width `w` in parallel.
+/// cache-aware scheme, column groups of width `w` in parallel, fine-pass
+/// blocks of `h >= 1` rows.
 pub fn rotate_columns_cache_aware<T, A>(
     data: &mut [T],
     m: usize,
     n: usize,
     w: usize,
-    block_rows: usize,
+    h: usize,
     amount: A,
 ) -> Result<(), PoolError>
 where
@@ -51,10 +52,10 @@ where
     A: Fn(usize) -> usize + Send + Sync,
 {
     assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert!(h > 0, "fine-pass block height must be at least one row");
     if m <= 1 || n == 0 {
         return Ok(());
     }
-    let h = block_rows.max(1);
     let groups = n.div_ceil(w);
     let amount = &amount;
     recover::run_op(
@@ -97,8 +98,8 @@ where
             )
         },
         |data, g| {
-            // The two-phase scheme is an optimization of the plain
-            // per-column gather; redo with the plain form directly.
+            // The two-phase scheme is an optimization of the per-column
+            // gather; redo with that gather directly.
             recover::redo_col_gather(data, m, n, w, g, |i, j| (i + amount(j)) % m)
         },
     )
@@ -163,6 +164,11 @@ fn coarse_rotate_subrows<T: Copy + Send + Sync>(
     // SAFETY (whole function): all indices are row * n + (j0 + k) with
     // k < gw — inside this task's column group.
     let idx = |row: usize, k: usize| row * n + j0 + k;
+    // Writes go through this helper's skew fault site: the identity
+    // unless `fault-inject` is compiled in.
+    let dst = |row: usize, k: usize| {
+        row * n + faulty::skew_column("coarse_rotate_subrows", j0 + k, j0, gw, n)
+    };
     let z = gcd(m as u64, r as u64) as usize;
     // Every slot is written before it is read, per cycle.
     let buf = scratch.uninit_buf(gw, unsafe { us.get(idx(0, 0)) });
@@ -175,12 +181,12 @@ fn coarse_rotate_subrows<T: Copy + Send + Sync>(
             let src = i + r - if i + r >= m { m } else { 0 };
             if src == y {
                 for (k, &v) in buf.iter().enumerate() {
-                    unsafe { us.set(idx(i, k), v) };
+                    unsafe { us.set(dst(i, k), v) };
                 }
                 break;
             }
             for k in 0..gw {
-                unsafe { us.set(idx(i, k), us.get(idx(src, k))) };
+                unsafe { us.set(dst(i, k), us.get(idx(src, k))) };
             }
             i = src;
         }
@@ -208,6 +214,8 @@ fn fine_rotate_left<T: Copy + Send + Sync>(
     }
     // SAFETY: column-group ownership, as in `coarse_rotate_subrows`.
     let idx = |row: usize, k: usize| row * n + j0 + k;
+    let dst =
+        |row: usize, k: usize| row * n + faulty::skew_column("fine_rotate_left", j0 + k, j0, gw, n);
     // Stash rows [0, maxres): overwritten by the first blocks but still
     // needed as wrap-around sources by the last ones.
     // Both halves are fully written before they are read.
@@ -237,7 +245,7 @@ fn fine_rotate_left<T: Copy + Send + Sync>(
         }
         for i in 0..he {
             for k in 0..gw {
-                unsafe { us.set(idx(i0 + i, k), block[i * gw + k]) };
+                unsafe { us.set(dst(i0 + i, k), block[i * gw + k]) };
             }
         }
         i0 += he;
@@ -265,6 +273,9 @@ fn fine_rotate_right<T: Copy + Send + Sync>(
     }
     // SAFETY: column-group ownership, as above.
     let idx = |row: usize, k: usize| row * n + j0 + k;
+    let dst = |row: usize, k: usize| {
+        row * n + faulty::skew_column("fine_rotate_right", j0 + k, j0, gw, n)
+    };
     // Stash rows [m - maxres, m): they wrap to the top destinations but
     // are overwritten by the bottom-up sweep before the top is reached.
     // Both halves are fully written before they are read.
@@ -296,7 +307,7 @@ fn fine_rotate_right<T: Copy + Send + Sync>(
         }
         for i in 0..he {
             for k in 0..gw {
-                unsafe { us.set(idx(i0 + i, k), block[i * gw + k]) };
+                unsafe { us.set(dst(i0 + i, k), block[i * gw + k]) };
             }
         }
         end = i0;
@@ -319,6 +330,8 @@ fn permute_subrows<T: Copy + Send + Sync>(
 ) {
     debug_assert!(visited.len() >= m && buf.len() >= gw);
     let idx = |row: usize, k: usize| row * n + j0 + k;
+    let dst =
+        |row: usize, k: usize| row * n + faulty::skew_column("permute_subrows", j0 + k, j0, gw, n);
     visited[..m].fill(false);
     let buf = &mut buf[..gw];
     for start in 0..m {
@@ -339,13 +352,13 @@ fn permute_subrows<T: Copy + Send + Sync>(
             let src = perm(i);
             if src == start {
                 for (k, &v) in buf.iter().enumerate() {
-                    unsafe { us.set(idx(i, k), v) };
+                    unsafe { us.set(dst(i, k), v) };
                 }
                 break;
             }
             visited[src] = true;
             for k in 0..gw {
-                unsafe { us.set(idx(i, k), us.get(idx(src, k))) };
+                unsafe { us.set(dst(i, k), us.get(idx(src, k))) };
             }
             i = src;
         }
@@ -440,6 +453,7 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
 ) -> Result<(), PoolError> {
     let (m, n) = (p.m, p.n);
     assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert!(h > 0, "fine-pass block height must be at least one row");
     if m <= 1 || n == 0 {
         return Ok(());
     }
@@ -504,6 +518,7 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
 ) -> Result<(), PoolError> {
     let (m, n) = (p.m, p.n);
     assert_eq!(data.len(), m * n, "buffer length must be m * n");
+    assert!(h > 0, "fine-pass block height must be at least one row");
     if m <= 1 || n == 0 {
         return Ok(());
     }
@@ -561,7 +576,7 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
         |data, g| {
             // Per column, permute-then-rotate-right composes to
             // `dst[i][j] = old[q^-1((i + m - j mod m) mod m)][j]` — the
-            // plain row-permute-inverse + column-rotate-inverse pair.
+            // row-permute-inverse + column-rotate-inverse pair.
             recover::redo_col_gather(data, m, n, w, g, |i, j| p.q_inv((i + m - j % m) % m))
         },
     )

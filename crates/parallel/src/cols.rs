@@ -1,198 +1,28 @@
-//! Plain parallel column operations (paper §5.1).
+//! Column-group schedulers (paper §5.1, §4.7).
 //!
 //! Columns of a row-major matrix are independent under every column step
-//! of the algorithm, so the columns are partitioned into groups and the
-//! groups processed in parallel. Memory traffic here is strided (one
-//! element per row per column) — the cache-aware variants in
-//! [`crate::cache_aware`] exist precisely to fix that; these plain
-//! versions are the ablation baseline and the correctness reference.
+//! of the algorithm, so the column passes split the columns into groups
+//! of `w` and process the groups in parallel. The engine's column passes
+//! are the §4.6–4.7 sub-row primitives in [`crate::cache_aware`]; this
+//! module holds the two schedulers beside them: the cycle-bundle row
+//! permute behind [`crate::cache_aware::row_permute`], and
+//! [`par_process_column_blocks`], the gather-transform-scatter building
+//! block for fused column operations. The sequential `ipt-core` path is
+//! the correctness reference for both.
 //!
-//! Safety: each worker touches only its own column groups' indices; see
+//! Safety: each task touches only its own claimed cells; see
 //! `unsafe_slice` for the disjointness argument. Per-worker scratch is a
 //! [`ipt_pool::Scratch::leased`] buffer: leased once per worker part,
-//! reused across all the groups that part owns, and retained by the
+//! reused across all the tasks that part owns, and retained by the
 //! worker's thread for the next pass.
 
 use crate::group_grain;
 use crate::recover;
 use crate::unsafe_slice::{CheckScope, UnsafeSlice};
 use ipt_core::cycles::{partition_bundles, CycleSet};
-use ipt_core::index::C2rParams;
 use ipt_core::kernels::faulty;
-use ipt_pool::recovery::TaskJournal;
 use ipt_pool::{PoolError, Scratch};
 use std::sync::OnceLock;
-
-/// Iterate `groups(width w over n columns)` in parallel, handing each call
-/// a per-worker scratch, the group's starting column and its width. Each
-/// group is claimed in the scope's shadow map before `f` runs, so checked
-/// mode verifies every access stays inside the group.
-///
-/// When recovery is armed, `journal` carries the op's [`TaskJournal`]:
-/// committed groups are skipped, and every group about to run snapshots
-/// its `m x gw` rectangle (claimed first, so checked mode sanctions the
-/// snapshot reads) before `f` may write, and commits afterwards.
-fn par_groups<T, F>(
-    data: &mut [T],
-    n: usize,
-    w: usize,
-    journal: Option<&TaskJournal<T>>,
-    label: impl FnOnce() -> String,
-    f: F,
-) -> Result<(), PoolError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&mut Scratch<T>, UnsafeSlice<'_, T>, usize, usize) + Sync,
-{
-    if data.is_empty() || n == 0 {
-        return Ok(());
-    }
-    let m = data.len() / n;
-    let scope = CheckScope::new(data.len(), n, label);
-    let us = UnsafeSlice::new(data, &scope);
-    let groups = n.div_ceil(w);
-    ipt_pool::par_chunks_init(
-        0..groups,
-        group_grain(m * w),
-        Scratch::leased,
-        |scratch, sub| {
-            for g in sub {
-                if journal.is_some_and(|j| j.is_done(g)) {
-                    continue;
-                }
-                faulty::maybe_panic("col_group", g);
-                let j0 = g * w;
-                let gw = w.min(n - j0);
-                us.claim_columns(g, j0, gw);
-                if let Some(j) = journal {
-                    // SAFETY: every snapshot index r*n + j0 + k (k < gw)
-                    // is inside the group just claimed by this worker.
-                    j.begin(scratch, g, (0..m).map(|r| (r * n + j0, gw)), |idx| unsafe {
-                        us.get(idx)
-                    });
-                }
-                f(scratch, us, j0, gw);
-                if let Some(j) = journal {
-                    j.commit(g);
-                }
-            }
-        },
-    )
-}
-
-/// Rotate every column `j` left by `amount(j)` (gather:
-/// `col[i] = old[(i + amount) mod m]`), columns processed in parallel
-/// groups, each through an `m`-element worker-local buffer.
-pub fn rotate_columns_parallel<T, A>(
-    data: &mut [T],
-    m: usize,
-    n: usize,
-    w: usize,
-    amount: A,
-) -> Result<(), PoolError>
-where
-    T: Copy + Send + Sync,
-    A: Fn(usize) -> usize + Send + Sync,
-{
-    assert_eq!(data.len(), m * n);
-    let amount = &amount;
-    recover::run_op(
-        data,
-        n.div_ceil(w),
-        |data, journal, _degraded| {
-            par_groups(
-                data,
-                n,
-                w,
-                journal,
-                || format!("rotate_columns (Eq. 23/35): m={m}, n={n}, group width w={w}"),
-                |scratch, us, j0, gw| {
-                    // Fill value must come from this worker's own claimed group
-                    // (reading column 0 here would race with group 0's writer).
-                    let buf = scratch.uninit_buf(m, unsafe { us.get(j0) });
-                    for j in j0..j0 + gw {
-                        let k = amount(j) % m;
-                        if k == 0 {
-                            continue;
-                        }
-                        for (i, slot) in buf.iter_mut().enumerate() {
-                            let src = i + k - if i + k >= m { m } else { 0 };
-                            // SAFETY: index src*n + j belongs to column j of this
-                            // worker's group; bounds: src < m, j < n.
-                            *slot = unsafe { us.get(src * n + j) };
-                        }
-                        let jw = faulty::skew_column("rotate_columns", j, j0, gw, n);
-                        for (i, &v) in buf.iter().enumerate() {
-                            // SAFETY: same column-ownership argument.
-                            unsafe { us.set(i * n + jw, v) };
-                        }
-                    }
-                },
-            )
-        },
-        |data, g| recover::redo_col_gather(data, m, n, w, g, |i, j| (i + amount(j)) % m),
-    )
-}
-
-/// Step 1 of parallel C2R: pre-rotation by `floor(j/b)` (Eq. 23).
-pub fn prerotate_parallel<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-    w: usize,
-) -> Result<(), PoolError> {
-    if p.coprime() {
-        return Ok(());
-    }
-    rotate_columns_parallel(data, p.m, p.n, w, |j| p.rotate_amount(j))
-}
-
-/// Step 3 of parallel C2R: the direct column shuffle with `s'_j` (Eq. 26).
-pub fn col_shuffle_parallel<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-    w: usize,
-) -> Result<(), PoolError> {
-    let (m, n) = (p.m, p.n);
-    recover::run_op(
-        data,
-        n.div_ceil(w),
-        |data, journal, _degraded| {
-            par_groups(
-                data,
-                n,
-                w,
-                journal,
-                || format!("col_shuffle (Eq. 26): m={m}, n={n}, group width w={w}"),
-                |scratch, us, j0, gw| {
-                    let buf = scratch.uninit_buf(m, unsafe { us.get(j0) });
-                    for j in j0..j0 + gw {
-                        for (i, slot) in buf.iter_mut().enumerate() {
-                            // SAFETY: s'_j(i) < m, so the index is in column j.
-                            *slot = unsafe { us.get(p.s(j, i) * n + j) };
-                        }
-                        let jw = faulty::skew_column("col_shuffle", j, j0, gw, n);
-                        for (i, &v) in buf.iter().enumerate() {
-                            // SAFETY: column-ownership.
-                            unsafe { us.set(i * n + jw, v) };
-                        }
-                    }
-                },
-            )
-        },
-        |data, g| recover::redo_col_gather(data, m, n, w, g, |i, j| p.s(j, i)),
-    )
-}
-
-/// R2C step 1 (plain): row permutation by `q^-1`, moving `w`-wide sub-rows
-/// along the (shared, precomputed) cycles — groups in parallel.
-pub fn row_permute_inverse_parallel<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-    w: usize,
-) -> Result<(), PoolError> {
-    let cycles = CycleSet::build(p.m, |i| p.q_inv(i));
-    row_permute_groups(data, p.m, p.n, w, |i| p.q_inv(i), &cycles)
-}
 
 /// The `IPT_CYCLE_GRAIN` override: minimum rows of cycle weight one
 /// bundle must carry, parsed once through the shared warn-once knob
@@ -469,89 +299,12 @@ where
     )
 }
 
-/// R2C step 2 (plain): inverse column rotation `p^-1_j` (Eq. 35).
-pub fn col_rotate_inverse_parallel<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-    w: usize,
-) -> Result<(), PoolError> {
-    let m = p.m;
-    rotate_columns_parallel(data, m, p.n, w, move |j| (m - j % m) % m)
-}
-
-/// R2C step 4 (plain): undo the pre-rotation with `r^-1_j` (Eq. 36).
-pub fn postrotate_inverse_parallel<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-    w: usize,
-) -> Result<(), PoolError> {
-    if p.coprime() {
-        return Ok(());
-    }
-    let m = p.m;
-    rotate_columns_parallel(data, m, p.n, w, move |j| (m - p.rotate_amount(j) % m) % m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ipt_core::check::fill_pattern;
+    use ipt_core::index::C2rParams;
     use ipt_core::permute;
-
-    #[test]
-    fn parallel_prerotate_matches_sequential() {
-        crate::force_multithreaded_pool();
-        for (m, n) in [(4usize, 8usize), (6, 9), (12, 18), (10, 25)] {
-            for w in [1usize, 3, 8, 64] {
-                let p = C2rParams::new(m, n);
-                let mut a = vec![0u64; m * n];
-                fill_pattern(&mut a);
-                let mut b = a.clone();
-                prerotate_parallel(&mut a, &p, w).unwrap();
-                permute::prerotate_cycles(&mut b, &p);
-                assert_eq!(a, b, "{m}x{n} w={w}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_col_shuffle_matches_sequential() {
-        crate::force_multithreaded_pool();
-        for (m, n) in [(4usize, 8usize), (6, 9), (7, 7), (15, 40)] {
-            let p = C2rParams::new(m, n);
-            let mut a = vec![0u32; m * n];
-            fill_pattern(&mut a);
-            let mut b = a.clone();
-            let mut tmp = vec![0u32; m.max(n)];
-            col_shuffle_parallel(&mut a, &p, 4).unwrap();
-            permute::col_shuffle_gather(&mut b, &p, &mut tmp);
-            assert_eq!(a, b, "{m}x{n}");
-        }
-    }
-
-    #[test]
-    fn parallel_inverse_steps_match_sequential() {
-        crate::force_multithreaded_pool();
-        for (m, n) in [(4usize, 8usize), (9, 6), (12, 18)] {
-            let p = C2rParams::new(m, n);
-            let mut a = vec![0u64; m * n];
-            fill_pattern(&mut a);
-            let mut b = a.clone();
-            let mut tmp = vec![0u64; m.max(n)];
-
-            row_permute_inverse_parallel(&mut a, &p, 4).unwrap();
-            permute::row_permute_inverse(&mut b, &p, &mut tmp);
-            assert_eq!(a, b, "row permute {m}x{n}");
-
-            col_rotate_inverse_parallel(&mut a, &p, 4).unwrap();
-            permute::col_rotate_inverse(&mut b, &p);
-            assert_eq!(a, b, "col rotate {m}x{n}");
-
-            postrotate_inverse_parallel(&mut a, &p, 4).unwrap();
-            permute::postrotate_inverse(&mut b, &p);
-            assert_eq!(a, b, "postrotate {m}x{n}");
-        }
-    }
 
     #[test]
     fn bundle_count_balances_grain_against_threads() {
@@ -592,7 +345,7 @@ mod tests {
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let mut b = a.clone();
-        row_permute_inverse_parallel(&mut a, &p, w).unwrap();
+        crate::cache_aware::row_permute(&mut a, &p, w, true).unwrap();
         let mut tmp = vec![0u64; m.max(n)];
         permute::row_permute_inverse(&mut b, &p, &mut tmp);
         assert_eq!(a, b, "bundled row permute must match the serial walk");
@@ -649,22 +402,6 @@ mod tests {
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(a[i * n + j], orig[(m - 1 - i) * n + j]);
-            }
-        }
-    }
-
-    #[test]
-    fn generic_rotation_with_odd_group_width() {
-        crate::force_multithreaded_pool();
-        let (m, n) = (9usize, 14usize);
-        let mut a = vec![0u16; m * n];
-        fill_pattern(&mut a);
-        let orig = a.clone();
-        rotate_columns_parallel(&mut a, m, n, 5, |j| j).unwrap();
-        // Verify elementwise: col j rotated left by j mod m.
-        for j in 0..n {
-            for i in 0..m {
-                assert_eq!(a[i * n + j], orig[((i + j) % m) * n + j], "({i},{j})");
             }
         }
     }

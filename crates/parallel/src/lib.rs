@@ -169,11 +169,9 @@ pub struct ParOptions {
     /// which measures fastest for the CPU cache hierarchies this crate
     /// targets (see the `ablations` bench).
     pub col_group: usize,
-    /// Row-block height for the fine rotation pass (§4.6).
+    /// Row-block height for the fine rotation pass (§4.6). 0 is treated
+    /// as 1.
     pub block_rows: usize,
-    /// Use the cache-aware column primitives (§4.6–4.7) instead of plain
-    /// strided column walks.
-    pub cache_aware: bool,
 }
 
 impl Default for ParOptions {
@@ -181,7 +179,6 @@ impl Default for ParOptions {
         ParOptions {
             col_group: 0,
             block_rows: 256,
-            cache_aware: true,
         }
     }
 }
@@ -196,12 +193,9 @@ impl ParOptions {
         }
     }
 
-    /// Plain (non-cache-aware) variant of these options.
-    pub fn plain() -> ParOptions {
-        ParOptions {
-            cache_aware: false,
-            ..ParOptions::default()
-        }
+    /// Resolve the effective fine-pass block height (at least one row).
+    pub fn block_height(&self) -> usize {
+        self.block_rows.max(1)
     }
 }
 
@@ -220,21 +214,14 @@ pub fn c2r_parallel<T: Copy + Send + Sync>(
     let p = C2rParams::new(m, n);
     let w = opts.group_width::<T>();
     let pass_bytes = phase_pass_bytes::<T>(data.len());
-    if opts.cache_aware {
-        run_phase(phases::PRE_ROTATE, || {
-            cache_aware::prerotate(data, &p, w, opts.block_rows)
-        })?;
-        run_phase(phases::ROW_SHUFFLE, || rows::row_shuffle_parallel(data, &p))?;
-        run_phase(phases::COL_SHUFFLE, || {
-            cache_aware::col_shuffle_fused(data, &p, w, opts.block_rows)
-        })?;
-    } else {
-        run_phase(phases::PRE_ROTATE, || cols::prerotate_parallel(data, &p, w))?;
-        run_phase(phases::ROW_SHUFFLE, || rows::row_shuffle_parallel(data, &p))?;
-        run_phase(phases::COL_SHUFFLE, || {
-            cols::col_shuffle_parallel(data, &p, w)
-        })?;
-    }
+    let h = opts.block_height();
+    run_phase(phases::PRE_ROTATE, || {
+        cache_aware::prerotate(data, &p, w, h)
+    })?;
+    run_phase(phases::ROW_SHUFFLE, || rows::row_shuffle_parallel(data, &p))?;
+    run_phase(phases::COL_SHUFFLE, || {
+        cache_aware::col_shuffle_fused(data, &p, w, h)
+    })?;
     // Traffic is attributed only after the whole transpose succeeds: an
     // aborted run's partial passes would skew the phase cost model.
     if p.c > 1 {
@@ -269,28 +256,16 @@ pub fn r2c_parallel<T: Copy + Send + Sync>(
     let p = C2rParams::new(m, n);
     let w = opts.group_width::<T>();
     let pass_bytes = phase_pass_bytes::<T>(data.len());
-    if opts.cache_aware {
-        run_phase(phases::COL_SHUFFLE, || {
-            cache_aware::col_shuffle_fused_inverse(data, &p, w, opts.block_rows)
-        })?;
-        run_phase(phases::ROW_SHUFFLE, || {
-            rows::row_shuffle_forward_parallel(data, &p)
-        })?;
-        run_phase(phases::POST_ROTATE, || {
-            cache_aware::postrotate_inverse(data, &p, w, opts.block_rows)
-        })?;
-    } else {
-        run_phase(phases::COL_SHUFFLE, || {
-            cols::row_permute_inverse_parallel(data, &p, w)?;
-            cols::col_rotate_inverse_parallel(data, &p, w)
-        })?;
-        run_phase(phases::ROW_SHUFFLE, || {
-            rows::row_shuffle_forward_parallel(data, &p)
-        })?;
-        run_phase(phases::POST_ROTATE, || {
-            cols::postrotate_inverse_parallel(data, &p, w)
-        })?;
-    }
+    let h = opts.block_height();
+    run_phase(phases::COL_SHUFFLE, || {
+        cache_aware::col_shuffle_fused_inverse(data, &p, w, h)
+    })?;
+    run_phase(phases::ROW_SHUFFLE, || {
+        rows::row_shuffle_forward_parallel(data, &p)
+    })?;
+    run_phase(phases::POST_ROTATE, || {
+        cache_aware::postrotate_inverse(data, &p, w, h)
+    })?;
     ipt_pool::stats::record_phase_bytes(phases::COL_SHUFFLE, pass_bytes);
     ipt_pool::stats::record_phase_bytes(phases::ROW_SHUFFLE, pass_bytes);
     if p.c > 1 {
@@ -391,15 +366,13 @@ mod tests {
     fn parallel_c2r_matches_sequential() {
         let _serial = stats_lock();
         crate::force_multithreaded_pool();
-        for opts in [ParOptions::default(), ParOptions::plain()] {
-            for (m, n) in sizes() {
-                let mut a = vec![0u64; m * n];
-                fill_pattern(&mut a);
-                let mut b = a.clone();
-                c2r_parallel(&mut a, m, n, &opts).unwrap();
-                ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
-                assert_eq!(a, b, "{m}x{n} cache_aware={}", opts.cache_aware);
-            }
+        for (m, n) in sizes() {
+            let mut a = vec![0u64; m * n];
+            fill_pattern(&mut a);
+            let mut b = a.clone();
+            c2r_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+            ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
+            assert_eq!(a, b, "{m}x{n}");
         }
     }
 
@@ -407,15 +380,13 @@ mod tests {
     fn parallel_r2c_matches_sequential() {
         let _serial = stats_lock();
         crate::force_multithreaded_pool();
-        for opts in [ParOptions::default(), ParOptions::plain()] {
-            for (m, n) in sizes() {
-                let mut a = vec![0u32; m * n];
-                fill_pattern(&mut a);
-                let mut b = a.clone();
-                r2c_parallel(&mut a, m, n, &opts).unwrap();
-                ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
-                assert_eq!(a, b, "{m}x{n} cache_aware={}", opts.cache_aware);
-            }
+        for (m, n) in sizes() {
+            let mut a = vec![0u32; m * n];
+            fill_pattern(&mut a);
+            let mut b = a.clone();
+            r2c_parallel(&mut a, m, n, &ParOptions::default()).unwrap();
+            ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
+            assert_eq!(a, b, "{m}x{n}");
         }
     }
 
@@ -444,7 +415,6 @@ mod tests {
             let opts = ParOptions {
                 col_group: w,
                 block_rows: 4,
-                cache_aware: true,
             };
             for (m, n) in [(13usize, 21usize), (21, 13), (8, 8), (30, 45)] {
                 let mut a = vec![0u16; m * n];

@@ -21,10 +21,10 @@
 #                        (trailing-median + drift gate, --history)
 #   tier 3  sanitize     release test run of the concurrency layer with
 #                        the disjointness checker live (IPT_CHECK=1) plus
-#                        the fault-injection suite, then a cycle-scheduler
-#                        smoke: a tall-skinny --scaling bench under
-#                        IPT_FAULT + IPT_CHECK=1 must exit 4 (structured
-#                        abort) or 0 — never SIGSEGV
+#                        the fault-injection suite, then a tall-skinny
+#                        smoke: a --scaling bench under IPT_FAULT +
+#                        IPT_CHECK=1 must exit 4 (structured abort) or
+#                        0 — never SIGSEGV
 #   tier 3  miri         cargo +nightly miri over ipt-core + ipt-pool;
 #                        skips gracefully when no nightly+miri toolchain
 #                        is installed (CI runs it as a soft-fail job)
@@ -69,13 +69,13 @@ sanitize_stage() {
     IPT_CHECK=1 cargo test --release -p ipt --features fault-inject \
         --test fault_injection
 
-    stage "cycle-scheduler smoke: tall-skinny bundles under faults (tier 3)"
+    stage "tall-skinny smoke: the engine on 65536x8 under faults (tier 3)"
     # --scaling appends the 65536x8 shape — one column group of the
-    # default u64 width, so every row-permute task comes from the
-    # cycle-bundle scheduler — and measures the 1-thread plain-R2C twin.
-    # Under a 5% panic rate with the checker live, the containment
-    # contract is the same as the fault stage's: structured abort or
-    # clean pass, never a crash.
+    # default u64 width, so each column pass is a single task and only
+    # the row pass spreads across workers — and measures the 1-thread
+    # r2c_parallel_1t twin. Under a 5% panic rate with the checker live,
+    # the containment contract is the same as the fault stage's:
+    # structured abort or clean pass, never a crash.
     cargo build --release -p ipt-cli --features fault-inject --quiet
     contained_bench --scaling
 }

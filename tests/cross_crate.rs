@@ -1,8 +1,8 @@
 //! Cross-crate integration: every transposition implementation in the
 //! workspace must agree with every other on the same inputs.
 //!
-//! The implementations cover four crates (core sequential, parallel
-//! cache-aware and plain, the skinny AoS specialization, the three
+//! The implementations cover four crates (core sequential, the parallel
+//! engine, the skinny AoS specialization, the three
 //! baselines and the warp-sim in-register version), which share only the
 //! paper's math — agreement across them is strong evidence each transcribed
 //! it correctly.
@@ -62,15 +62,9 @@ fn implementations() -> Vec<(&'static str, Impl)> {
             Box::new(|d: &mut Vec<u64>, m, n| ipt_core::r2c(d, n, m, &mut Scratch::new())),
         ),
         (
-            "parallel cache-aware",
+            "parallel c2r",
             Box::new(|d: &mut Vec<u64>, m, n| {
                 ipt_parallel::c2r_parallel(d, m, n, &ParOptions::default()).unwrap()
-            }),
-        ),
-        (
-            "parallel plain",
-            Box::new(|d: &mut Vec<u64>, m, n| {
-                ipt_parallel::c2r_parallel(d, m, n, &ParOptions::plain()).unwrap()
             }),
         ),
         (
@@ -195,7 +189,7 @@ fn mixed_sequence_of_implementations_composes() {
     assert_eq!(data, orig, "parallel c2r then core r2c");
 
     transpose_gustavson(&mut data, m, n);
-    ipt_parallel::r2c_parallel(&mut data, m, n, &ParOptions::plain()).unwrap();
+    ipt_parallel::r2c_parallel(&mut data, m, n, &ParOptions::default()).unwrap();
     assert_eq!(data, orig, "gustavson then parallel r2c");
 
     transpose_cycle_following(&mut data, m, n);

@@ -18,11 +18,12 @@
 //! and only if the call reported an abort.
 
 use ipt::core::check::reference_transpose;
+use ipt::core::index::C2rParams;
 use ipt::core::kernels::faulty::{self, FaultMode};
-use ipt::core::{Layout, Scratch};
+use ipt::core::{permute, Layout, Scratch};
 use ipt::parallel::batched::transpose_batched;
-use ipt::parallel::{c2r_parallel, r2c_parallel, ParOptions, TransposeAborted};
-use ipt::pool::{recovery, set_num_threads, stats};
+use ipt::parallel::{c2r_parallel, cache_aware, r2c_parallel, ParOptions, TransposeAborted};
+use ipt::pool::{recovery, set_num_threads, stats, PoolError};
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes tests: forced fault mode, `IPT_CHECK`, the thread count and
@@ -72,30 +73,53 @@ impl Drop for Armed {
     }
 }
 
-/// Run one forced-fault C2R and return `(result, panics, skews)` deltas.
-fn run_c2r(m: usize, n: usize, opts: &ParOptions) -> (Result<(), TransposeAborted>, u64, u64) {
+/// The skew sites of the cache-aware column helpers, one per helper.
+const COLUMN_SKEW_SITES: [&str; 4] = [
+    "coarse_rotate_subrows",
+    "fine_rotate_left",
+    "fine_rotate_right",
+    "permute_subrows",
+];
+
+/// Run one forced-fault default-engine transpose — C2R, or R2C when
+/// `r2c` — and return `(result, panics, skews)` deltas.
+fn run(m: usize, n: usize, r2c: bool) -> (Result<(), TransposeAborted>, u64, u64) {
     let mut a: Vec<u64> = (0..(m * n) as u64).collect();
-    let want = reference_transpose(&a, m, n, Layout::RowMajor);
+    let want = if r2c {
+        let mut want = a.clone();
+        ipt::core::r2c(&mut want, m, n, &mut Scratch::new());
+        want
+    } else {
+        reference_transpose(&a, m, n, Layout::RowMajor)
+    };
+    let opts = ParOptions::default();
     let (p0, s0, _) = faulty::injection_counts();
-    let result = c2r_parallel(&mut a, m, n, opts);
+    let result = if r2c {
+        r2c_parallel(&mut a, m, n, &opts)
+    } else {
+        c2r_parallel(&mut a, m, n, &opts)
+    };
     let (p1, s1, _) = faulty::injection_counts();
     if result.is_ok() {
-        assert_eq!(a, want, "Ok result must mean a correct {m}x{n} transpose");
+        assert_eq!(a, want, "Ok result must mean a correct {m}x{n} (r2c={r2c})");
     }
     (result, p1 - p0, s1 - s0)
 }
 
-/// Run one forced-fault plain R2C — the path whose first pass is the
-/// cycle-bundle row permute — and return `(result, panics, skews)` deltas.
-fn run_r2c_plain(m: usize, n: usize) -> (Result<(), TransposeAborted>, u64, u64) {
+/// Run one forced-fault cycle-bundle row permute (`q^-1`, the unfused
+/// R2C step 1) at the default u64 group width and return `(result,
+/// panics, skews)` deltas.
+fn run_row_permute(m: usize, n: usize) -> (Result<(), PoolError>, u64, u64) {
+    let p = C2rParams::new(m, n);
     let mut a: Vec<u64> = (0..(m * n) as u64).collect();
     let mut want = a.clone();
-    ipt::core::r2c(&mut want, m, n, &mut Scratch::new());
+    permute::row_permute_inverse(&mut want, &p, &mut vec![0; m.max(n)]);
+    let w = ParOptions::default().group_width::<u64>();
     let (p0, s0, _) = faulty::injection_counts();
-    let result = r2c_parallel(&mut a, m, n, &ParOptions::plain());
+    let result = cache_aware::row_permute(&mut a, &p, w, true);
     let (p1, s1, _) = faulty::injection_counts();
     if result.is_ok() {
-        assert_eq!(a, want, "Ok result must mean a correct {m}x{n} R2C");
+        assert_eq!(a, want, "Ok result must mean a correct {m}x{n} row permute");
     }
     (result, p1 - p0, s1 - s0)
 }
@@ -111,12 +135,12 @@ fn row_cycle_bundle_panics_are_contained_across_thread_counts() {
         // only parallelize (and only inject "row_cycle_bundle" panics)
         // through the cycle-bundle axis.
         for (m, n) in [(4096usize, 8usize), (2048, 48), (513, 96)] {
-            let (result, panics, _) = run_r2c_plain(m, n);
+            let (result, panics, _) = run_row_permute(m, n);
             match result {
                 Err(e) => {
                     assert!(panics > 0, "abort without injection: {e} ({m}x{n})");
                     assert!(
-                        e.source.payload.contains("ipt fault injection"),
+                        e.payload.contains("ipt fault injection"),
                         "unexpected payload: {e}"
                     );
                     aborted += 1;
@@ -132,30 +156,27 @@ fn row_cycle_bundle_panics_are_contained_across_thread_counts() {
 fn row_cycle_bundle_skews_abort_via_the_shadow_claims() {
     let _guard = setup();
     let _forced = Forced::new(FaultMode::Skew(1.0));
-    // Plain R2C runs the cycle-bundle row permute first, so with rate 1.0
-    // the first skewed write lands outside the task's row-set x
-    // column-group claim and must trip the checker before any other
-    // phase's sites fire. Shapes span several column groups of the
-    // default u64 width (skews need a foreign group to land in).
+    // With rate 1.0 the first skewed write lands outside the task's
+    // row-set x column-group claim and must trip the checker. Shapes span
+    // several column groups of the default u64 width (skews need a
+    // foreign group to land in).
     let mut named_the_scheduler = 0u64;
     let mut caught = 0u64;
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
         for (m, n) in [(200usize, 96usize), (96, 192), (513, 64)] {
-            let (result, _, skews) = run_r2c_plain(m, n);
+            let (result, _, skews) = run_row_permute(m, n);
             match result {
                 Err(e) => {
                     assert!(skews > 0, "abort without a skew: {e} ({m}x{n})");
                     assert!(
-                        e.source.payload.contains("disjointness"),
+                        e.payload.contains("disjointness"),
                         "skew must abort via the checker, got: {e}"
                     );
                     caught += 1;
                     // The violation label should name the bundle scheduler
                     // and its composite-owner decode rule.
-                    if e.source.payload.contains("row_permute")
-                        && e.source.payload.contains("cycle bundle")
-                    {
+                    if e.payload.contains("row_permute") && e.payload.contains("cycle bundle") {
                         named_the_scheduler += 1;
                     }
                 }
@@ -182,11 +203,11 @@ fn injected_panics_are_contained_across_thread_counts() {
         set_num_threads(threads);
         let mut aborted_here = 0u64;
         let before = stats::snapshot();
-        // Sweep shapes on both the cache-aware and plain paths; 5% per
-        // (site, item) over hundreds of rows/groups injects many times.
+        // 5% per (site, item) over hundreds of rows/groups injects many
+        // times, in both directions.
         for (m, n) in [(64usize, 96usize), (97, 64), (200, 300), (33, 1024)] {
-            for opts in [ParOptions::default(), ParOptions::plain()] {
-                let (result, panics, _) = run_c2r(m, n, &opts);
+            for r2c in [false, true] {
+                let (result, panics, _) = run(m, n, r2c);
                 match result {
                     Err(e) => {
                         assert!(panics > 0, "abort without injection: {e} ({m}x{n})");
@@ -232,34 +253,45 @@ fn injected_panics_in_batched_transposes_are_contained() {
     }
 }
 
+/// Shapes for the default-engine skew sweeps: gcd(m, n) > 1 (the
+/// pre/post-rotation runs its coarse and fine sites) and coprime (only
+/// the fused column shuffles run), each spanning several column groups
+/// of the default u64 width so a skew has a foreign group to land in.
+const SKEW_SHAPES: [(usize, usize); 5] = [(64, 96), (96, 192), (48, 300), (97, 128), (61, 257)];
+
+/// Skew rates for the site sweeps. Decisions are deterministic per
+/// (site, column), so the rate picks which helper's write faults first:
+/// across these rates and 1/2/4 threads, every column helper's site
+/// fires on [`SKEW_SHAPES`].
+const SKEW_RATES: [f64; 3] = [1.0, 0.1, 0.01];
+
 #[test]
 fn every_injected_skew_is_caught_by_the_checker() {
     let _guard = setup();
     let _forced = Forced::new(FaultMode::Skew(1.0));
-    // Skew sites live on the plain column path; rate 1.0 skews the first
-    // processed column of every group, which must land in a foreign
-    // group and trip the shadow map before any data is torn silently.
-    let opts = ParOptions::plain();
+    // Rate 1.0 skews the first write of every column-helper call, which
+    // must land in a foreign group and trip the shadow map before any
+    // data is torn silently.
     let mut caught = 0u64;
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
-        // gcd(m, n) > 1 so the pre-rotation (a skew site) actually runs,
-        // and n spans several column groups of the default width.
-        for (m, n) in [(64usize, 96usize), (96, 192), (48, 300)] {
-            let (result, _, skews) = run_c2r(m, n, &opts);
-            match result {
-                Err(e) => {
-                    assert!(skews > 0, "abort without a skew: {e} ({m}x{n})");
-                    assert!(
-                        e.source.payload.contains("disjointness"),
-                        "skew must abort via the checker, got: {e}"
-                    );
-                    caught += 1;
+        for (m, n) in SKEW_SHAPES {
+            for r2c in [false, true] {
+                let (result, _, skews) = run(m, n, r2c);
+                match result {
+                    Err(e) => {
+                        assert!(skews > 0, "abort without a skew: {e} ({m}x{n})");
+                        assert!(
+                            e.source.payload.contains("disjointness"),
+                            "skew must abort via the checker, got: {e}"
+                        );
+                        caught += 1;
+                    }
+                    Ok(()) => assert_eq!(
+                        skews, 0,
+                        "threads={threads} {m}x{n} r2c={r2c}: {skews} skews went undetected"
+                    ),
                 }
-                Ok(()) => assert_eq!(
-                    skews, 0,
-                    "threads={threads} {m}x{n}: {skews} skews went undetected"
-                ),
             }
         }
     }
@@ -273,19 +305,71 @@ fn every_injected_skew_is_caught_by_the_checker() {
 fn low_rate_skews_are_still_all_detected() {
     let _guard = setup();
     let _forced = Forced::new(FaultMode::Skew(0.08));
-    let opts = ParOptions::plain();
+    let mut caught = 0u64;
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
-        for (m, n) in [(64usize, 96usize), (72, 160), (96, 224), (120, 288)] {
-            let (result, _, skews) = run_c2r(m, n, &opts);
-            match result {
-                Err(e) => assert!(
-                    skews > 0 && e.source.payload.contains("disjointness"),
-                    "{m}x{n}: {e}"
-                ),
-                Ok(()) => assert_eq!(skews, 0, "threads={threads} {m}x{n} missed a skew"),
+        for (m, n) in [
+            (64usize, 96usize),
+            (72, 160),
+            (96, 224),
+            (120, 288),
+            (61, 257),
+        ] {
+            for r2c in [false, true] {
+                let (result, _, skews) = run(m, n, r2c);
+                match result {
+                    Err(e) => {
+                        assert!(
+                            skews > 0 && e.source.payload.contains("disjointness"),
+                            "{m}x{n} r2c={r2c}: {e}"
+                        );
+                        caught += 1;
+                    }
+                    Ok(()) => assert_eq!(
+                        skews, 0,
+                        "threads={threads} {m}x{n} r2c={r2c} missed a skew"
+                    ),
+                }
             }
         }
+    }
+    assert!(caught > 0, "the low-rate sweep never injected a skew");
+}
+
+#[test]
+fn every_column_skew_site_family_injects() {
+    let _guard = setup();
+    // A skew site that never fires would leave its helper's writes
+    // untested by the checker. Sweep rates and shapes on the default
+    // engine until every helper's site has injected (and every injection
+    // was caught, which `run` and the match below enforce).
+    let before: Vec<u64> = COLUMN_SKEW_SITES
+        .iter()
+        .map(|s| faulty::skews_at(s))
+        .collect();
+    for threads in [1usize, 2, 4] {
+        set_num_threads(threads);
+        for rate in SKEW_RATES {
+            let _forced = Forced::new(FaultMode::Skew(rate));
+            for (m, n) in SKEW_SHAPES {
+                for r2c in [false, true] {
+                    let (result, _, skews) = run(m, n, r2c);
+                    match result {
+                        Err(e) => assert!(
+                            skews > 0 && e.source.payload.contains("disjointness"),
+                            "{m}x{n} r2c={r2c}: {e}"
+                        ),
+                        Ok(()) => assert_eq!(skews, 0, "{m}x{n} r2c={r2c} missed a skew"),
+                    }
+                }
+            }
+        }
+    }
+    for (site, b) in COLUMN_SKEW_SITES.iter().zip(before) {
+        assert!(
+            faulty::skews_at(site) > b,
+            "the {site} skew site never fired — dead harness?"
+        );
     }
 }
 
@@ -299,26 +383,26 @@ fn armed_retry_recovers_every_injected_panic() {
         set_num_threads(threads);
         let before = stats::snapshot();
         let mut injected_here = 0u64;
-        // Same shape/engine sweep as the budget-0 containment test — but
-        // with IPT_RETRY=2 armed, every call must now complete with Ok
-        // and byte-identical output (run_c2r asserts equality on Ok).
+        // Same shape sweep as the budget-0 containment test — but with
+        // IPT_RETRY=2 armed, every call must now complete with Ok and
+        // byte-identical output (run asserts equality on Ok).
         for (m, n) in [(64usize, 96usize), (97, 64), (200, 300), (33, 1024)] {
-            for opts in [ParOptions::default(), ParOptions::plain()] {
-                let (result, panics, _) = run_c2r(m, n, &opts);
+            for r2c in [false, true] {
+                let (result, panics, _) = run(m, n, r2c);
                 assert!(
                     result.is_ok(),
-                    "threads={threads} {m}x{n}: armed run aborted: {}",
+                    "threads={threads} {m}x{n} r2c={r2c}: armed run aborted: {}",
                     result.unwrap_err()
                 );
                 injected_here += panics;
             }
         }
-        // The plain R2C path (cycle-bundle row permute first) too.
+        // The cycle-bundle row permute too.
         for (m, n) in [(4096usize, 8usize), (513, 96)] {
-            let (result, panics, _) = run_r2c_plain(m, n);
+            let (result, panics, _) = run_row_permute(m, n);
             assert!(
                 result.is_ok(),
-                "threads={threads} {m}x{n}: armed R2C aborted: {}",
+                "threads={threads} {m}x{n}: armed row permute aborted: {}",
                 result.unwrap_err()
             );
             injected_here += panics;
@@ -336,34 +420,38 @@ fn armed_retry_recovers_every_injected_panic() {
 #[test]
 fn armed_retry_recovers_injected_skews_in_checked_mode() {
     let _guard = setup();
-    let _forced = Forced::new(FaultMode::Skew(1.0));
     let _armed = Armed::new(2);
     // Rate 1.0 defeats same-config retries (injection is deterministic
     // per (site, item)), so recovery must come from the final
     // sequential-redo rung, which has no skew sites. The checker
     // (IPT_CHECK=1, set in setup()) rejects each skewed write before it
-    // lands, so the undo snapshots fully describe the torn state.
-    let opts = ParOptions::plain();
+    // lands, so the undo snapshots fully describe the torn state. The
+    // lower rates leave some tasks clean, so retries skip committed work.
     let mut injected = 0u64;
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
-        for (m, n) in [(64usize, 96usize), (96, 192), (48, 300)] {
-            let (result, _, skews) = run_c2r(m, n, &opts);
-            assert!(
-                result.is_ok(),
-                "threads={threads} {m}x{n}: armed skew run aborted: {}",
-                result.unwrap_err()
-            );
-            injected += skews;
-        }
-        for (m, n) in [(200usize, 96usize), (513, 64)] {
-            let (result, _, skews) = run_r2c_plain(m, n);
-            assert!(
-                result.is_ok(),
-                "threads={threads} {m}x{n}: armed bundle-skew run aborted: {}",
-                result.unwrap_err()
-            );
-            injected += skews;
+        for rate in SKEW_RATES {
+            let _forced = Forced::new(FaultMode::Skew(rate));
+            for (m, n) in SKEW_SHAPES {
+                for r2c in [false, true] {
+                    let (result, _, skews) = run(m, n, r2c);
+                    assert!(
+                        result.is_ok(),
+                        "threads={threads} {m}x{n} r2c={r2c}: armed skew run aborted: {}",
+                        result.unwrap_err()
+                    );
+                    injected += skews;
+                }
+            }
+            for (m, n) in [(200usize, 96usize), (513, 64)] {
+                let (result, _, skews) = run_row_permute(m, n);
+                assert!(
+                    result.is_ok(),
+                    "threads={threads} {m}x{n}: armed bundle-skew run aborted: {}",
+                    result.unwrap_err()
+                );
+                injected += skews;
+            }
         }
     }
     assert!(injected > 0, "the armed sweep never injected a skew");
@@ -399,14 +487,16 @@ fn budget_zero_keeps_the_abort_contract() {
     // the first contained fault aborts the whole transpose.
     set_num_threads(4);
     let mut aborted = 0u64;
-    for (m, n) in [(4096usize, 8usize), (2048, 48), (513, 96)] {
-        let (result, panics, _) = run_r2c_plain(m, n);
-        match result {
-            Err(e) => {
-                assert!(panics > 0, "abort without injection: {e} ({m}x{n})");
-                aborted += 1;
+    for (m, n) in [(64usize, 96usize), (97, 64), (200, 300), (33, 1024)] {
+        for r2c in [false, true] {
+            let (result, panics, _) = run(m, n, r2c);
+            match result {
+                Err(e) => {
+                    assert!(panics > 0, "abort without injection: {e} ({m}x{n})");
+                    aborted += 1;
+                }
+                Ok(()) => assert_eq!(panics, 0, "{m}x{n} swallowed an injected panic"),
             }
-            Ok(()) => assert_eq!(panics, 0, "{m}x{n} swallowed an injected panic"),
         }
     }
     assert!(aborted > 0, "the budget-0 sweep never injected a panic");
@@ -418,15 +508,15 @@ fn zero_rate_injects_nothing_and_transposes_correctly() {
     let _forced = Forced::new(FaultMode::Panic(0.0));
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
-        for opts in [ParOptions::default(), ParOptions::plain()] {
-            let (result, panics, skews) = run_c2r(60, 48, &opts);
+        for r2c in [false, true] {
+            let (result, panics, skews) = run(60, 48, r2c);
             assert!(result.is_ok(), "rate 0.0 must never abort");
             assert_eq!((panics, skews), (0, 0));
         }
         // Clean cycle-bundle runs: byte-identical to the serial reference
-        // with zero shadow-map aborts under IPT_CHECK=1 (run_r2c_plain
+        // with zero shadow-map aborts under IPT_CHECK=1 (run_row_permute
         // asserts equality on Ok).
-        let (result, panics, skews) = run_r2c_plain(4096, 8);
+        let (result, panics, skews) = run_row_permute(4096, 8);
         assert!(result.is_ok(), "clean bundle run must never abort");
         assert_eq!((panics, skews), (0, 0));
     }

@@ -139,21 +139,22 @@ fn soak_faults_always_contained_and_detected() {
         let threads = [1, 2, 4][rng.range(0..3)];
         ipt::pool::set_num_threads(threads);
 
-        // Alternate panic and skew rounds; skews need the plain column
-        // path (the only one with skew sites) and the checker live.
-        let (mode, opts) = if round % 2 == 0 {
-            (FaultMode::Panic(0.02), ParOptions::default())
+        // Alternate panic and skew rounds on the default engine; skews
+        // need the checker live.
+        let mode = if round % 2 == 0 {
+            FaultMode::Panic(0.02)
         } else {
-            (FaultMode::Skew(0.1), ParOptions::plain())
+            FaultMode::Skew(0.1)
         };
+        let opts = ParOptions::default();
         // Arm the recovery ladder on a third of the rounds: those runs
         // must *complete* despite the injected faults.
         let armed = round % 3 == 2;
         recovery::force_retry(if armed { 2 } else { 0 });
         faulty::force(Some(mode));
         let mut a: Vec<u64> = (0..(m * n) as u64).collect();
-        // Half the rounds run R2C, whose plain path opens with the
-        // cycle-bundle row permute (its panic and skew sites included).
+        // Half the rounds run R2C, whose engine opens with the fused
+        // inverse column shuffle (its permute and right-rotation sites).
         let r2c = round % 4 >= 2;
         let want = if r2c {
             let mut w = a.clone();
