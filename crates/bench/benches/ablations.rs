@@ -196,13 +196,13 @@ fn fused_column_shuffle(c: &mut Criterion) {
     g.bench_function("fused", |b| {
         b.iter(|| {
             fill(&mut buf);
-            ipt_parallel::cache_aware::col_shuffle_fused(black_box(&mut buf), &p, 32, 256).unwrap();
+            ipt_parallel::cache_aware::col_shuffle_fused(black_box(&mut buf), &p, 32).unwrap();
         })
     });
     g.bench_function("rotate-then-permute", |b| {
         b.iter(|| {
             fill(&mut buf);
-            ipt_parallel::cache_aware::col_rotate_j(black_box(&mut buf), &p, 32, 256).unwrap();
+            ipt_parallel::cache_aware::col_rotate_j(black_box(&mut buf), &p, 32).unwrap();
             ipt_parallel::cache_aware::row_permute(black_box(&mut buf), &p, 32, false).unwrap();
         })
     });

@@ -48,7 +48,7 @@ pub struct DeviceModel {
     /// Bandwidth derating when gather traffic is served through L2.
     pub l2_factor: f64,
     /// Bandwidth derating of the cache-aware column passes (rotations,
-    /// sub-row permutes, [`DeviceModel::column_pass`]): their traffic is
+    /// staged column shuffles, [`DeviceModel::column_pass`]): their traffic is
     /// line-granular but scattered in placement. 0.45 reproduces the
     /// K20c's column-pass share of Figures 4–5; a CPU cache hierarchy
     /// hides the scatter better (see [`DeviceModel::reference_cpu`]).
@@ -108,10 +108,12 @@ impl DeviceModel {
     /// on: one CPU core behind a 64-byte-line cache hierarchy with
     /// container-grade memory bandwidth (see `EXPERIMENTS.md`).
     ///
-    /// The regime boundaries move to the L1/L2 capacities, and the two
-    /// derating knobs relax: a CPU's caches absorb both the L2-gather
-    /// bounce (`l2_factor`) and the column passes' scattered line
-    /// placement (`col_factor`) far better than the K20c's coalescer.
+    /// The regime boundaries move to the L1/L2 capacities, and the
+    /// L2-gather bounce (`l2_factor`) relaxes: a CPU's caches absorb it
+    /// far better than the K20c's coalescer. `col_factor` is the measured
+    /// speed of one staged column pass relative to an on-chip row
+    /// shuffle — about one half across cache-resident and out-of-cache
+    /// shapes at one thread (EXPERIMENTS.md, "Staged sub-row gather").
     /// This is the default device of `ipt-cli model`, whose phase-share
     /// validation is the calibration evidence for these values.
     ///
@@ -129,7 +131,7 @@ impl DeviceModel {
             onchip_bytes: 32 * 1024,
             l2_bytes: 1_536 * 1024,
             l2_factor: 0.6,
-            col_factor: 0.8,
+            col_factor: 0.5,
         }
     }
 
@@ -178,8 +180,8 @@ impl DeviceModel {
         }
     }
 
-    /// Cost of the cache-aware column pass family (rotations, sub-row
-    /// permutes): sub-rows are line-sized, so the traffic is coalesced;
+    /// Cost of the cache-aware column pass family (rotations, staged
+    /// column shuffles): sub-rows are line-sized, so the traffic is coalesced;
     /// scattered line-granule placement derates bandwidth by
     /// [`DeviceModel::col_factor`].
     pub fn column_pass(&self) -> PassCost {
@@ -194,7 +196,7 @@ impl DeviceModel {
     ///
     /// Derived from the per-phase plan of [`crate::phases::predict_c2r`]
     /// (pre-rotation when `gcd(m, n) > 1`, the three-regime row shuffle,
-    /// fine rotation + row permutation), so the whole-transpose estimate
+    /// the one-pass staged column shuffle), so the whole-transpose estimate
     /// and the phase attribution can never disagree.
     ///
     /// ```

@@ -317,21 +317,22 @@ impl<'a, T: Copy> UnsafeSlice<'a, T> {
         self.claim_rows_in_columns(owner, std::iter::once(row), 0, cols);
     }
 
-    /// Verify `idx` is claimed by this thread's current owner.
+    /// Verify every index of `idx..idx + len` is claimed by this thread's
+    /// current owner.
     #[inline]
-    fn check_access(&self, sh: &ShadowScope, idx: usize, kind: &str) {
-        if idx >= sh.cells.len() {
-            violation(sh, "out-of-bounds access", idx, 0, 1);
+    fn check_access(&self, sh: &ShadowScope, idx: usize, len: usize, kind: &str) {
+        if idx + len > sh.cells.len() {
+            violation(sh, "out-of-bounds access", idx.max(sh.cells.len()), 0, 1);
         }
         let (scope_id, tag) = CURRENT_CLAIM.with(|c| c.get());
         if scope_id != sh.id {
             violation(sh, kind, idx, 0, 1); // access with no claim in scope
         }
-        let held = sh
-            .decode(sh.cells[idx].load(Ordering::Relaxed))
-            .unwrap_or(0);
-        if held != tag {
-            violation(sh, kind, idx, held, tag);
+        for (i, cell) in sh.cells[idx..idx + len].iter().enumerate() {
+            let held = sh.decode(cell.load(Ordering::Relaxed)).unwrap_or(0);
+            if held != tag {
+                violation(sh, kind, idx + i, held, tag);
+            }
         }
     }
 
@@ -344,10 +345,27 @@ impl<'a, T: Copy> UnsafeSlice<'a, T> {
     pub(crate) unsafe fn get(&self, idx: usize) -> T {
         debug_assert!(idx < self.len);
         if let Some(sh) = self.shadow {
-            self.check_access(sh, idx, "unclaimed read");
+            self.check_access(sh, idx, 1, "unclaimed read");
         }
         // SAFETY: caller guarantees bounds and non-aliasing.
         unsafe { *self.ptr.add(idx) }
+    }
+
+    /// Read the `out.len()` elements starting at `idx` into `out`, in one
+    /// copy after one check of the whole run.
+    ///
+    /// # Safety
+    ///
+    /// As for [`UnsafeSlice::get`], for every index of the run.
+    #[inline]
+    pub(crate) unsafe fn read_run(&self, idx: usize, out: &mut [T]) {
+        if let Some(sh) = self.shadow {
+            self.check_access(sh, idx, out.len(), "unclaimed read");
+        }
+        debug_assert!(idx + out.len() <= self.len);
+        // SAFETY: caller guarantees bounds and non-aliasing; `out` is a
+        // distinct, exclusively borrowed buffer.
+        unsafe { std::ptr::copy_nonoverlapping(self.ptr.add(idx), out.as_mut_ptr(), out.len()) };
     }
 
     /// Write element `idx`.
@@ -359,7 +377,7 @@ impl<'a, T: Copy> UnsafeSlice<'a, T> {
     pub(crate) unsafe fn set(&self, idx: usize, v: T) {
         debug_assert!(idx < self.len);
         if let Some(sh) = self.shadow {
-            self.check_access(sh, idx, "unclaimed write");
+            self.check_access(sh, idx, 1, "unclaimed write");
         }
         // SAFETY: caller guarantees bounds and exclusivity.
         unsafe { *self.ptr.add(idx) = v };
@@ -415,6 +433,9 @@ mod tests {
             assert_eq!(us.get(0), 7);
             us.set(2, 42);
             assert_eq!(us.get(2), 42);
+            let mut run = [0u8; 3];
+            us.read_run(0, &mut run);
+            assert_eq!(run, [7, 8, 42]);
         }
         assert_eq!(us.len(), 3);
         assert_eq!(data, [7, 8, 42]);
@@ -472,6 +493,16 @@ mod tests {
         let err = catch_unwind(AssertUnwindSafe(|| unsafe { us.get(6) })).unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("unclaimed read"), "{msg}");
+        // A run is checked cell by cell: row 0's columns 4-5 are this
+        // owner's, row 1's column 0 is not.
+        let mut run = [0u32; 3];
+        let err =
+            catch_unwind(AssertUnwindSafe(|| unsafe { us.read_run(4, &mut run) })).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(
+            msg.contains("unclaimed read") && msg.contains("col 0"),
+            "{msg}"
+        );
     }
 
     #[test]

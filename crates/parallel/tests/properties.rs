@@ -2,8 +2,8 @@
 //!
 //! The central invariant: every parallel/cache-aware code path computes
 //! byte-identical results to the sequential reference, for arbitrary
-//! shapes, group widths and block heights — including degenerate tunings
-//! (1-wide groups, 1-row blocks) that maximize edge-case traffic.
+//! shapes and group widths — including the degenerate 1-wide groups that
+//! maximize edge-case traffic.
 //!
 //! Cases come from the deterministic `ipt_core::check::Rng` (fixed
 //! seeds); the pool is widened to at least two workers up front so the
@@ -16,13 +16,9 @@ use ipt_parallel::{batched, c2r_parallel, cache_aware, r2c_parallel, ParOptions}
 
 const CASES: usize = 128;
 
-/// Options with group width `w` and block height `h`; 0 draws the
-/// per-type default width and the one-row minimum height.
-fn opts(w: usize, h: usize) -> ParOptions {
-    ParOptions {
-        col_group: w,
-        block_rows: h,
-    }
+/// Options with group width `w`; 0 draws the per-type default width.
+fn opts(w: usize) -> ParOptions {
+    ParOptions { col_group: w }
 }
 
 /// Widen the global pool so the spawning paths are exercised even when
@@ -42,13 +38,13 @@ fn c2r_parallel_equals_core() {
     let mut rng = Rng::new(0x9a11_0001);
     for case in 0..CASES {
         let (m, n) = (rng.range(1..80), rng.range(1..80));
-        let (w, h) = (rng.range(0..20), rng.range(0..20));
+        let w = rng.range(0..20);
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let mut b = a.clone();
-        c2r_parallel(&mut a, m, n, &opts(w, h)).unwrap();
+        c2r_parallel(&mut a, m, n, &opts(w)).unwrap();
         ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
-        assert_eq!(a, b, "case {case}: {m}x{n} w={w} h={h}");
+        assert_eq!(a, b, "case {case}: {m}x{n} w={w}");
     }
 }
 
@@ -58,13 +54,13 @@ fn r2c_parallel_equals_core() {
     let mut rng = Rng::new(0x9a11_0002);
     for case in 0..CASES {
         let (m, n) = (rng.range(1..80), rng.range(1..80));
-        let (w, h) = (rng.range(0..20), rng.range(0..20));
+        let w = rng.range(0..20);
         let mut a = vec![0u32; m * n];
         fill_pattern(&mut a);
         let mut b = a.clone();
-        r2c_parallel(&mut a, m, n, &opts(w, h)).unwrap();
+        r2c_parallel(&mut a, m, n, &opts(w)).unwrap();
         ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
-        assert_eq!(a, b, "case {case}: {m}x{n} w={w} h={h}");
+        assert_eq!(a, b, "case {case}: {m}x{n} w={w}");
     }
 }
 
@@ -74,22 +70,22 @@ fn cache_aware_rotation_equals_elementwise() {
     let mut rng = Rng::new(0x9a11_0003);
     for case in 0..CASES {
         let (m, n) = (rng.range(2..60), rng.range(1..60));
-        let (w, h) = (rng.range(1..16), rng.range(1..16));
+        let w = rng.range(1..16);
         let (mult, offset) = (rng.range(0..10), rng.range(0..10));
         // Arbitrary affine amount family — beyond the four the algorithm
-        // needs, stressing the coarse-picker's generic fallback bound.
+        // needs; `mult = 0` makes every group uniform (coarse path).
         let amount = move |j: usize| j * mult + offset;
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        cache_aware::rotate_columns_cache_aware(&mut a, m, n, w, h, amount).unwrap();
+        cache_aware::rotate_columns_cache_aware(&mut a, m, n, w, amount).unwrap();
         for j in 0..n {
             let k = amount(j) % m;
             for i in 0..m {
                 assert_eq!(
                     a[i * n + j],
                     orig[((i + k) % m) * n + j],
-                    "case {case}: {m}x{n} w={w} h={h} mult={mult} offset={offset} ({i},{j})"
+                    "case {case}: {m}x{n} w={w} mult={mult} offset={offset} ({i},{j})"
                 );
             }
         }
@@ -102,15 +98,15 @@ fn fused_col_shuffle_equals_sequential_decomposition() {
     let mut rng = Rng::new(0x9a11_0004);
     for case in 0..CASES {
         let (m, n) = (rng.range(2..60), rng.range(1..60));
-        let (w, h) = (rng.range(1..24), rng.range(1..12));
+        let w = rng.range(1..24);
         let p = C2rParams::new(m, n);
         let mut fused = vec![0u32; m * n];
         fill_pattern(&mut fused);
         let mut seq = fused.clone();
-        cache_aware::col_shuffle_fused(&mut fused, &p, w, h).unwrap();
+        cache_aware::col_shuffle_fused(&mut fused, &p, w).unwrap();
         let mut tmp = vec![0u32; m.max(n)];
         ipt_core::permute::col_shuffle_gather(&mut seq, &p, &mut tmp);
-        assert_eq!(fused, seq, "case {case}: {m}x{n} w={w} h={h}");
+        assert_eq!(fused, seq, "case {case}: {m}x{n} w={w}");
     }
 }
 
@@ -120,14 +116,14 @@ fn fused_inverse_round_trips() {
     let mut rng = Rng::new(0x9a11_0005);
     for case in 0..CASES {
         let (m, n) = (rng.range(2..50), rng.range(1..50));
-        let (w, h) = (rng.range(1..16), rng.range(1..8));
+        let w = rng.range(1..16);
         let p = C2rParams::new(m, n);
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        cache_aware::col_shuffle_fused(&mut a, &p, w, h).unwrap();
-        cache_aware::col_shuffle_fused_inverse(&mut a, &p, w, h).unwrap();
-        assert_eq!(a, orig, "case {case}: {m}x{n} w={w} h={h}");
+        cache_aware::col_shuffle_fused(&mut a, &p, w).unwrap();
+        cache_aware::col_shuffle_fused_inverse(&mut a, &p, w).unwrap();
+        assert_eq!(a, orig, "case {case}: {m}x{n} w={w}");
     }
 }
 

@@ -73,13 +73,9 @@ impl Drop for Armed {
     }
 }
 
-/// The skew sites of the cache-aware column helpers, one per helper.
-const COLUMN_SKEW_SITES: [&str; 4] = [
-    "coarse_rotate_subrows",
-    "fine_rotate_left",
-    "fine_rotate_right",
-    "permute_subrows",
-];
+/// The skew sites of the cache-aware column helpers, one per write loop:
+/// the coarse rotation of uniform groups and the staged gather.
+const COLUMN_SKEW_SITES: [&str; 2] = ["coarse_rotate_subrows", "stage_gather"];
 
 /// Run one forced-fault default-engine transpose — C2R, or R2C when
 /// `r2c` — and return `(result, panics, skews)` deltas.
@@ -254,10 +250,21 @@ fn injected_panics_in_batched_transposes_are_contained() {
 }
 
 /// Shapes for the default-engine skew sweeps: gcd(m, n) > 1 (the
-/// pre/post-rotation runs its coarse and fine sites) and coprime (only
-/// the fused column shuffles run), each spanning several column groups
-/// of the default u64 width so a skew has a foreign group to land in.
-const SKEW_SHAPES: [(usize, usize); 5] = [(64, 96), (96, 192), (48, 300), (97, 128), (61, 257)];
+/// pre/post-rotation runs) and coprime (only the fused column shuffles
+/// run), each spanning several column groups of the default u64 width
+/// so a skew has a foreign group to land in. The rotation amount
+/// `floor(j/b)` changes every `b = n / gcd(m, n)` columns: below the
+/// group width most rotation groups are non-uniform and stage, while
+/// 66x128 (`b = 64`, two groups per amount) rotates every group coarsely
+/// before any staged pass runs.
+const SKEW_SHAPES: [(usize, usize); 6] = [
+    (64, 96),
+    (96, 192),
+    (48, 300),
+    (97, 128),
+    (61, 257),
+    (66, 128),
+];
 
 /// Skew rates for the site sweeps. Decisions are deterministic per
 /// (site, column), so the rate picks which helper's write faults first:
@@ -342,13 +349,14 @@ fn every_column_skew_site_family_injects() {
     // A skew site that never fires would leave its helper's writes
     // untested by the checker. Sweep rates and shapes on the default
     // engine until every helper's site has injected (and every injection
-    // was caught, which `run` and the match below enforce).
-    let before: Vec<u64> = COLUMN_SKEW_SITES
-        .iter()
-        .map(|s| faulty::skews_at(s))
-        .collect();
+    // was caught, which `run` and the match below enforce), at every
+    // thread count.
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);
+        let before: Vec<u64> = COLUMN_SKEW_SITES
+            .iter()
+            .map(|s| faulty::skews_at(s))
+            .collect();
         for rate in SKEW_RATES {
             let _forced = Forced::new(FaultMode::Skew(rate));
             for (m, n) in SKEW_SHAPES {
@@ -364,12 +372,12 @@ fn every_column_skew_site_family_injects() {
                 }
             }
         }
-    }
-    for (site, b) in COLUMN_SKEW_SITES.iter().zip(before) {
-        assert!(
-            faulty::skews_at(site) > b,
-            "the {site} skew site never fired — dead harness?"
-        );
+        for (site, b) in COLUMN_SKEW_SITES.iter().zip(before) {
+            assert!(
+                faulty::skews_at(site) > b,
+                "threads={threads}: the {site} skew site never fired — dead harness?"
+            );
+        }
     }
 }
 

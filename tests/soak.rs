@@ -9,10 +9,27 @@
 
 use ipt::prelude::*;
 use ipt_core::check::{reference_transpose, Rng};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the soak tests: the fault soak forces fault injection, the
+/// recovery budget and the pool width process-wide, which would fail the
+/// sibling sweeps if they ran beside it in other test threads.
+static SOAK_LOCK: Mutex<()> = Mutex::new(());
+
+/// Take the soak lock, and make sure the disjointness checker is live
+/// before any soak test's first parallel call: the checker reads
+/// `IPT_CHECK` once per process, and the fault soak's skews are only
+/// detected with it on.
+fn soak_lock() -> MutexGuard<'static, ()> {
+    let guard = SOAK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    std::env::set_var("IPT_CHECK", "1");
+    guard
+}
 
 #[test]
 #[ignore = "soak: minutes of randomized sweeps; run with -- --ignored"]
 fn soak_every_engine_thousands_of_shapes() {
+    let _serial = soak_lock();
     let mut rng = Rng::new(0xdead_5eed);
     let mut scratch = Scratch::new();
     for round in 0..2000 {
@@ -52,6 +69,7 @@ fn soak_every_engine_thousands_of_shapes() {
 #[test]
 #[ignore = "soak: large-matrix stress; run with -- --ignored"]
 fn soak_large_matrices() {
+    let _serial = soak_lock();
     let mut rng = Rng::new(42);
     let mut scratch = Scratch::new();
     for _ in 0..8 {
@@ -74,6 +92,7 @@ fn soak_large_matrices() {
 #[test]
 #[ignore = "soak: erased element-size sweep; run with -- --ignored"]
 fn soak_erased_all_element_sizes() {
+    let _serial = soak_lock();
     let mut rng = Rng::new(7);
     for elem in 1..=64usize {
         let m = rng.range(2..60);
@@ -98,6 +117,7 @@ fn soak_erased_all_element_sizes() {
 #[test]
 #[ignore = "soak: warp-sim exhaustive (m, lanes) grid; run with -- --ignored"]
 fn soak_warp_all_geometries() {
+    let _serial = soak_lock();
     for m in 1..=48usize {
         for lanes in 1..=48usize {
             let data: Vec<u32> = (0..(m * lanes) as u32).collect();
@@ -125,10 +145,10 @@ fn soak_warp_all_geometries() {
 #[test]
 #[ignore = "soak: minutes of fault-injected sweeps; run with -- --ignored"]
 fn soak_faults_always_contained_and_detected() {
+    let _serial = soak_lock();
     use ipt::core::kernels::faulty::{self, FaultMode};
     use ipt::pool::recovery;
 
-    std::env::set_var("IPT_CHECK", "1"); // before the checker's first read
     let mut rng = Rng::new(0xfa_17_50_a1);
     let mut contained = 0u64;
     let mut detected = 0u64;
@@ -154,7 +174,7 @@ fn soak_faults_always_contained_and_detected() {
         faulty::force(Some(mode));
         let mut a: Vec<u64> = (0..(m * n) as u64).collect();
         // Half the rounds run R2C, whose engine opens with the fused
-        // inverse column shuffle (its permute and right-rotation sites).
+        // inverse column shuffle (its staged-gather site).
         let r2c = round % 4 >= 2;
         let want = if r2c {
             let mut w = a.clone();
