@@ -91,20 +91,29 @@ fn dominant_phase_ranking_holds_on_committed_shapes() {
         let b = breakdown_for(m, n);
         // Full rank agreement is the tight property `ipt model` reports;
         // here only require the *dominant* phase to match unless the
-        // top two measured shares are within noise of each other.
-        let top_pred = b
+        // top two measured shares are within noise of each other. Phases
+        // tied for the top predicted share (the pre-rotation and the
+        // column shuffle when gcd > 1) are each a valid dominant.
+        let top_share = b
             .phases
             .iter()
-            .max_by(|a, c| a.predicted.total_cmp(&c.predicted))
+            .map(|p| p.predicted)
+            .max_by(f64::total_cmp)
             .expect("non-empty breakdown");
+        let top_pred: Vec<&str> = b
+            .phases
+            .iter()
+            .filter(|p| p.predicted == top_share)
+            .map(|p| p.name.as_str())
+            .collect();
         let mut by_meas: Vec<_> = b.phases.iter().collect();
         by_meas.sort_by(|a, c| c.measured.total_cmp(&a.measured));
         let near_tie = by_meas.len() > 1 && by_meas[0].measured - by_meas[1].measured < 0.10;
         assert!(
-            by_meas[0].name == top_pred.name || near_tie,
-            "{m}x{n}: predicted dominant {} but measured dominant {} \
+            top_pred.contains(&by_meas[0].name.as_str()) || near_tie,
+            "{m}x{n}: predicted dominant {:?} but measured dominant {} \
              ({:.3} vs runner-up {:.3})",
-            top_pred.name,
+            top_pred,
             by_meas[0].name,
             by_meas[0].measured,
             by_meas.get(1).map_or(0.0, |p| p.measured)
