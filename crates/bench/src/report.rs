@@ -183,21 +183,18 @@ impl SchedBreak {
 }
 
 /// The self-healing layer's activity while an entry was measured (deltas
-/// of `ipt_pool::stats` recovery counters): how many retry rungs ran, how
-/// many ops ultimately recovered, and how many rungs ran degraded.
+/// of `ipt_pool::stats` recovery counters): how many failed ops were
+/// rolled back and redone, and how many of them recovered.
 /// `None` for fault-free measurements (the overwhelmingly common case)
 /// and for reports written before the recovery layer existed — a stamped
 /// entry is a red flag that faults fired *during* the measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryBreak {
-    /// Retry rungs climbed during measurement (parallel re-runs plus
-    /// sequential-redo rungs).
+    /// Failed ops rolled back and handed to the sequential redo during
+    /// measurement.
     pub retries: u64,
-    /// Ops that failed at least once and still completed.
+    /// Ops that failed and still completed.
     pub recovered: u64,
-    /// Rungs that ran with a degraded configuration (scalar-pinned
-    /// kernels, or the final sequential redo).
-    pub degraded: u64,
 }
 
 impl RecoveryBreak {
@@ -205,7 +202,6 @@ impl RecoveryBreak {
         Json::obj(vec![
             ("retries", Json::Num(self.retries as f64)),
             ("recovered", Json::Num(self.recovered as f64)),
-            ("degraded", Json::Num(self.degraded as f64)),
         ])
     }
 
@@ -218,7 +214,6 @@ impl RecoveryBreak {
         Ok(RecoveryBreak {
             retries: int("retries")?,
             recovered: int("recovered")?,
-            degraded: int("degraded")?,
         })
     }
 }
@@ -251,7 +246,7 @@ pub struct BenchEntry {
     /// Predicted-vs-measured phase-share stamp (`bench --model`); `None`
     /// for plain runs and reports written before the model existed.
     pub model: Option<ModelBreak>,
-    /// Recovery-ladder counters for the measurement (`None` for
+    /// Recovery counters for the measurement (`None` for
     /// fault-free runs — any stamp means faults fired mid-measurement).
     pub recovery: Option<RecoveryBreak>,
 }
@@ -722,7 +717,6 @@ mod tests {
         RecoveryBreak {
             retries: 3,
             recovered: 2,
-            degraded: 1,
         }
     }
 
@@ -790,7 +784,6 @@ mod tests {
             "\"recovery\"",
             "\"retries\"",
             "\"recovered\"",
-            "\"degraded\"",
         ];
         let mut last = 0;
         for key in order {
@@ -846,6 +839,11 @@ mod tests {
         let r = report(vec![e]);
         let text = r.to_json().render();
         let back = BenchReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(back, r);
+        // Stamps that still carry the retired `degraded` count load too.
+        assert!(text.contains("\"recovered\": 2"), "{text}");
+        let old = text.replace("\"recovered\": 2", "\"recovered\": 2, \"degraded\": 1");
+        let back = BenchReport::from_json(&Json::parse(&old).unwrap()).unwrap();
         assert_eq!(back, r);
         // Baselines written before the recovery stamp existed still load.
         let mut doc = Json::parse(&text).unwrap();

@@ -73,8 +73,8 @@ phase-attributed cost model's predicted-vs-measured share breakdown
 MODEL.md), carried in the report JSON under \"model\".
 
 The `kernels` suite isolates the row-shuffle pass (Eq. 31) and pits the
-scalar incremental kernel against the run-blocked block4/block8 kernels
-plus the `auto` runtime dispatch — the ablation behind IPT_KERNEL.
+scalar incremental kernel against the run-blocked block8 kernel plus
+the `auto` runtime dispatch — the ablation behind IPT_KERNEL.
 The `aos` suite measures the skinny-matrix AoS<->SoA specialization
 (paper 6.1); `batched` measures many same-shape matrices per call
 (16 per entry) through ipt_parallel::batched.
@@ -608,10 +608,6 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
                     kernel_runner(Some(RowShuffleKernel::Scalar)),
                 ),
                 (
-                    "row_shuffle_block4",
-                    kernel_runner(Some(RowShuffleKernel::Block4)),
-                ),
-                (
                     "row_shuffle_block8",
                     kernel_runner(Some(RowShuffleKernel::Block8)),
                 ),
@@ -791,13 +787,12 @@ fn measure(
         max_weight: delta.sched.max_weight,
         min_weight: delta.sched.min_weight,
     });
-    // Recovery-ladder tallies, stamped only when a retry rung actually ran
+    // Recovery tallies, stamped only when a failed op was rolled back
     // during the timed region — a stamped entry flags that faults fired
     // (and were healed) mid-measurement, so its timings include recovery.
     let recovery = (delta.retries_attempted > 0).then_some(RecoveryBreak {
         retries: delta.retries_attempted,
         recovered: delta.recovered,
-        degraded: delta.degraded,
     });
     BenchEntry {
         algorithm: alg.to_string(),
@@ -851,8 +846,8 @@ fn print_entry(e: &BenchEntry) {
     }
     if let Some(r) = &e.recovery {
         println!(
-            "  {:<20} recovery: {} retry rung(s), {} op(s) recovered, {} degraded rung(s)",
-            "", r.retries, r.recovered, r.degraded
+            "  {:<20} recovery: {} op(s) redone, {} recovered",
+            "", r.retries, r.recovered
         );
     }
 }

@@ -3,7 +3,7 @@
 //! The library never probes implicitly ([`ipt_core::kernels::calibrate`]
 //! keeps dispatch surprise-free), so this subcommand is the explicit
 //! step that pays the measurement cost: it runs the probe ladder,
-//! writes the `ipt-calibration-v1` profile to the cache path, and
+//! writes the `ipt-calibration-v2` profile to the cache path, and
 //! prints the per-rung crossover table. Subsequent `ipt` processes
 //! (and any embedder of `ipt_core`) pick the profile up lazily through
 //! `IPT_CALIBRATION` / the default cache path.
@@ -21,13 +21,14 @@ USAGE:
   ipt calibrate [--force] [--out PATH]
   ipt calibrate --show [--out PATH]
 
-Runs the startup microprobe (scalar vs block4 vs block8 on a ladder of
-synthetic shapes spanning the c/b space) and writes the measured
-crossovers as an ipt-calibration-v1 JSON profile. The profile path is
---out if given, else $IPT_CALIBRATION, else target/ipt-calibration.json
-(falling back to the system temp dir outside a cargo tree). With a
-valid profile already present the probe is skipped — pass --force to
-re-measure. --show prints the stored profile without probing.
+Runs the startup microprobe (scalar vs block8 on a ladder of synthetic
+shapes spanning the c/b space) and writes the measured crossovers as an
+ipt-calibration-v2 JSON profile. The profile path is --out if given,
+else $IPT_CALIBRATION, else target/ipt-calibration.json (falling back to
+the system temp dir outside a cargo tree). With a valid profile already
+present the probe is skipped — pass --force to re-measure. A profile of
+an older schema (v1 named the deleted block4 kernel) is not valid and
+is re-probed. --show prints the stored profile without probing.
 
 Once a profile exists, ipt_core::kernels::select resolves dispatch as
 IPT_KERNEL override > calibrated profile > static heuristic, and bench
@@ -145,8 +146,8 @@ pub fn main(args: &[String]) -> ExitCode {
 /// reports will stamp.
 fn print_profile(profile: &CalibrationProfile) {
     println!(
-        "{:>7} {:>5} {:>5} {:>3} {:>11} {:>11} {:>11}  best",
-        "m", "n", "c", "b", "scalar", "block4", "block8"
+        "{:>7} {:>5} {:>5} {:>3} {:>11} {:>11}  best",
+        "m", "n", "c", "b", "scalar", "block8"
     );
     for r in &profile.probes {
         let ns = |k: RowShuffleKernel| {
@@ -154,13 +155,12 @@ fn print_profile(profile: &CalibrationProfile) {
             format!("{:.3}", r.nanos_per_elem[slot])
         };
         println!(
-            "{:>7} {:>5} {:>5} {:>3} {:>8} ns {:>8} ns {:>8} ns  {}",
+            "{:>7} {:>5} {:>5} {:>3} {:>8} ns {:>8} ns  {}",
             r.m,
             r.n,
             r.c,
             r.b,
             ns(RowShuffleKernel::Scalar),
-            ns(RowShuffleKernel::Block4),
             ns(RowShuffleKernel::Block8),
             r.best.name()
         );

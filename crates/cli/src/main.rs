@@ -68,8 +68,9 @@ EXIT CODES:
   0  success
   2  usage error (unknown flag, missing argument, bad file)
   3  bench regression gate failed (--compare / --history)
-  4  parallel transpose aborted: a worker fault was contained but the
-     recovery budget (IPT_RETRY, default 0) was exhausted
+  4  parallel transpose aborted: a worker fault was contained and
+     recovery was off (IPT_RETRY, default 0) or its sequential redo
+     failed too
   5  hang watchdog fired: a task exceeded IPT_WATCHDOG_MS and the
      process exited rather than wedge";
 

@@ -381,7 +381,6 @@ fn bench_kernels_quick_emits_full_entry_set() {
     // entries as the committed full-rep BENCH_kernels.json baseline.
     for alg in [
         "row_shuffle_scalar",
-        "row_shuffle_block4",
         "row_shuffle_block8",
         "row_shuffle_auto",
     ] {
@@ -429,14 +428,21 @@ fn ipt_kernel_env_override_reaches_the_dispatcher() {
         String::from_utf8_lossy(&out.stderr)
     );
     // An unknown value warns once and defers to the heuristic — it must
-    // not abort the run.
-    let out = run("avx512-dreams");
-    assert_ok(&out);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("IPT_KERNEL") && stderr.contains("avx512-dreams"),
-        "unknown override should warn with the offending value: {stderr}"
-    );
+    // not abort the run. `block4` names a deleted kernel and is unknown.
+    for bad in ["avx512-dreams", "block4"] {
+        let out = run(bad);
+        assert_ok(&out);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("IPT_KERNEL") && stderr.contains(bad),
+            "unknown override should warn with the offending value: {stderr}"
+        );
+        assert_eq!(
+            stderr.matches("IPT_KERNEL").count(),
+            1,
+            "unknown override should warn exactly once: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -981,6 +987,23 @@ fn calibrate_writes_shows_and_skips_an_up_to_date_profile() {
     let out = ipt(&["calibrate", "--force", "--out", &profile_path]);
     assert_ok(&out);
     CalibrationProfile::load(std::path::Path::new(&profile_path)).expect("still valid");
+
+    // A v1 profile names the deleted block4 kernel: it is not up to
+    // date, and a run without --force re-probes over it.
+    let v1 = "{\"schema\": \"ipt-calibration-v1\", \"probes\": [\
+              {\"m\": 8, \"n\": 2, \"c\": 2, \"b\": 1, \"scalar_ns\": 1.0, \
+              \"block4_ns\": 0.5, \"block8_ns\": 0.6, \"best\": \"block4\"}, \
+              {\"m\": 3, \"n\": 2, \"c\": 1, \"b\": 2, \"scalar_ns\": 1.0, \
+              \"block4_ns\": 2.0, \"block8_ns\": 2.5, \"best\": \"scalar\"}]}\n";
+    std::fs::write(&profile_path, v1).unwrap();
+    let out = ipt(&["calibrate", "--out", &profile_path]);
+    assert_ok(&out);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("calibrated") && !stdout.contains("up to date"),
+        "a v1 profile must be re-probed: {stdout}"
+    );
+    CalibrationProfile::load(std::path::Path::new(&profile_path)).expect("re-probed profile");
 
     // --show on a missing path is a clean error.
     let missing = tmpfile("calibrate_missing.json");

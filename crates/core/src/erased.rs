@@ -229,8 +229,8 @@ mod tests {
             (12, 20),
             (17, 5),
             // Kernel-dispatch regimes of the typed Copy path this module
-            // is checked against: c = 32 -> Block4, c = 64 with b = 2
-            // and b = 1 -> Block8 (see `ipt_core::kernels::select_auto`).
+            // is checked against: c = 32, c = 64 with b = 2 and b = 1
+            // -> Block8 (see `ipt_core::kernels::select_auto`).
             (96, 64),
             (192, 128),
             (128, 64),
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn erased_u32_matches_typed_r2c() {
         // Pins the Forward kernel direction too: on the blocked-regime
-        // shapes in `sizes()`, `crate::r2c` dispatches block4/block8.
+        // shapes in `sizes()`, `crate::r2c` dispatches block8.
         let mut s = Scratch::new();
         for (m, n) in sizes() {
             let typed: Vec<u32> = (0..(m * n) as u32)

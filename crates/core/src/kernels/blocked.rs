@@ -1,4 +1,4 @@
-//! The run-blocked row-shuffle kernels: `W`-lane strips over arithmetic
+//! The run-blocked row-shuffle kernel: `W`-lane strips over arithmetic
 //! runs of the Eq. 31 gather index.
 //!
 //! For fixed row `i`, write `thr = max(0, i + c - m)`. The gather index
@@ -20,6 +20,9 @@
 use super::ShuffleDirection;
 use crate::index::C2rParams;
 
+/// Strip width: lanes per unrolled iteration of the run copy.
+const W: usize = 8;
+
 /// Smallest `k >= 1` with `(from + k) mod c == to`, for residues
 /// `from, to < c`: the distance to the next column with residue `to`.
 #[inline]
@@ -36,7 +39,7 @@ fn dist_to_residue(from: usize, to: usize, c: usize) -> usize {
 /// strips. All source indices are in bounds by the run invariant; the
 /// slice bounds checks merely re-prove it.
 #[inline]
-fn gather_run<const W: usize, T: Copy>(dst: &mut [T], src: &[T], base: usize, b: usize) {
+fn gather_run<T: Copy>(dst: &mut [T], src: &[T], base: usize, b: usize) {
     if b == 1 {
         dst.copy_from_slice(&src[base..base + dst.len()]);
         return;
@@ -56,7 +59,7 @@ fn gather_run<const W: usize, T: Copy>(dst: &mut [T], src: &[T], base: usize, b:
 /// Copy `dst[base + k*b] = src[k]` for `k = 0..src.len()` in `W`-lane
 /// strips — the same run walked as a scatter.
 #[inline]
-fn scatter_run<const W: usize, T: Copy>(dst: &mut [T], src: &[T], base: usize, b: usize) {
+fn scatter_run<T: Copy>(dst: &mut [T], src: &[T], base: usize, b: usize) {
     if b == 1 {
         dst[base..base + src.len()].copy_from_slice(src);
         return;
@@ -79,7 +82,7 @@ fn scatter_run<const W: usize, T: Copy>(dst: &mut [T], src: &[T], base: usize, b
 /// `Forward` is the same permutation applied the other way — a scatter
 /// with `d'^-1_i` (`dst[base + k*b] = src[j + k]`) — so both directions
 /// share one run enumeration.
-pub(super) fn apply_row<const W: usize, T: Copy>(
+pub(super) fn apply_row<T: Copy>(
     p: &C2rParams,
     i: usize,
     src: &[T],
@@ -99,10 +102,10 @@ pub(super) fn apply_row<const W: usize, T: Copy>(
         let base = p.d_inv(i, j);
         match dir {
             ShuffleDirection::Inverse => {
-                gather_run::<W, T>(&mut dst[j..j + len], src, base, b);
+                gather_run(&mut dst[j..j + len], src, base, b);
             }
             ShuffleDirection::Forward => {
-                scatter_run::<W, T>(dst, &src[j..j + len], base, b);
+                scatter_run(dst, &src[j..j + len], base, b);
             }
         }
         j += len;

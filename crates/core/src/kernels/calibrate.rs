@@ -1,11 +1,11 @@
 //! Per-host kernel calibration: measure the crossovers, remember them.
 //!
-//! [`super::select_auto`] encodes the scalar/block4/block8 crossover
-//! points as three constants tuned on one box. The run structure that
-//! motivates them (runs average `c/3` columns, contiguous when `b == 1`)
-//! is a property of the *shape*, but where blocking starts to pay is a
-//! property of the *machine* — vector width, store-forwarding latency,
-//! how well the compiler unrolled the strip loop. In the empirical
+//! [`super::select_auto`] encodes the scalar/block8 crossover points as
+//! constants tuned on one box. The run structure that motivates them
+//! (runs average `c/3` columns, contiguous when `b == 1`) is a property
+//! of the *shape*, but where blocking starts to pay is a property of the
+//! *machine* — vector width, store-forwarding latency, how well the
+//! compiler unrolled the strip loop. In the empirical
 //! autotuning tradition of ATLAS and FFTW, this module lets the machine
 //! measure its own crossovers once and remember them:
 //!
@@ -46,7 +46,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 /// Schema tag stamped into every persisted profile.
-pub const SCHEMA: &str = "ipt-calibration-v1";
+pub const SCHEMA: &str = "ipt-calibration-v2";
 
 /// Environment variable naming the profile cache path (`off`, `none`,
 /// `0` or empty disable persistence and lazy loading entirely).
@@ -87,7 +87,7 @@ pub struct ProbeResult {
     pub b: usize,
     /// Best-of-reps nanoseconds per element, indexed like
     /// [`RowShuffleKernel::ALL`].
-    pub nanos_per_elem: [f64; 3],
+    pub nanos_per_elem: [f64; 2],
     /// The measured-fastest kernel on this rung (ties go to the earlier
     /// entry of [`RowShuffleKernel::ALL`], i.e. the simpler kernel).
     pub best: RowShuffleKernel,
@@ -111,7 +111,7 @@ pub struct CalibrationProfile {
 ///   threshold from both sides.
 /// * **`b == 2`** (strided runs): `n = 2c`, `m` an *odd* multiple of `c`
 ///   (so `gcd(m, n)` stays exactly `c`), for `c` in `{1, 2, .., 128}` —
-///   from the coprime one-element-run limit past the static `c >= 64`
+///   from the coprime one-element-run limit past the static `c >= 16`
 ///   threshold.
 pub fn ladder() -> Vec<(usize, usize)> {
     let mut shapes = Vec::new();
@@ -156,7 +156,7 @@ pub fn probe_with(clock: &mut dyn FnMut() -> u64, reps: usize) -> CalibrationPro
         let p = C2rParams::new(m, n);
         let mut data: Vec<u64> = (0..(m * n) as u64).collect();
         let mut tmp = vec![0u64; n];
-        let mut nanos_per_elem = [0f64; 3];
+        let mut nanos_per_elem = [0f64; 2];
         for (slot, &kernel) in RowShuffleKernel::ALL.iter().enumerate() {
             let mut best = f64::INFINITY;
             for _ in 0..reps {
@@ -208,7 +208,7 @@ fn measure_once(
 
 /// The argmin of a per-kernel rate array; ties prefer the earlier
 /// (simpler) kernel.
-fn best_kernel(nanos_per_elem: &[f64; 3]) -> RowShuffleKernel {
+fn best_kernel(nanos_per_elem: &[f64; 2]) -> RowShuffleKernel {
     let mut best = RowShuffleKernel::ALL[0];
     let mut best_ns = nanos_per_elem[0];
     for (slot, &kernel) in RowShuffleKernel::ALL.iter().enumerate().skip(1) {
@@ -258,8 +258,7 @@ impl CalibrationProfile {
                     ("c", Json::Num(r.c as f64)),
                     ("b", Json::Num(r.b as f64)),
                     ("scalar_ns", Json::Num(r.nanos_per_elem[0])),
-                    ("block4_ns", Json::Num(r.nanos_per_elem[1])),
-                    ("block8_ns", Json::Num(r.nanos_per_elem[2])),
+                    ("block8_ns", Json::Num(r.nanos_per_elem[1])),
                     ("best", Json::Str(r.best.name().to_string())),
                 ])
             })
@@ -355,7 +354,7 @@ fn probe_from_json(doc: &Json) -> Result<ProbeResult, String> {
     if field("c")? as usize != c || field("b")? as usize != b {
         return Err(format!("stored c/b disagree with m = {m}, n = {n}"));
     }
-    let mut nanos_per_elem = [0f64; 3];
+    let mut nanos_per_elem = [0f64; 2];
     for (slot, kernel) in RowShuffleKernel::ALL.iter().enumerate() {
         let key = format!("{}_ns", kernel.name());
         let x = doc
@@ -490,16 +489,16 @@ mod tests {
     #[test]
     fn probe_with_scripted_clock_is_deterministic() {
         // Every pair: scalar slowest, block8 fastest.
-        let deltas = [3 * MIN_PROBE_NANOS, 2 * MIN_PROBE_NANOS, MIN_PROBE_NANOS];
-        let mut clock_a = scripted_clock(move |pair| deltas[pair % 3]);
-        let mut clock_b = scripted_clock(move |pair| deltas[pair % 3]);
+        let deltas = [2 * MIN_PROBE_NANOS, MIN_PROBE_NANOS];
+        let mut clock_a = scripted_clock(move |pair| deltas[pair % 2]);
+        let mut clock_b = scripted_clock(move |pair| deltas[pair % 2]);
         let a = probe_with(&mut clock_a, 1);
         let b = probe_with(&mut clock_b, 1);
         assert_eq!(a, b);
         assert_eq!(a.probes.len(), ladder().len());
         for r in &a.probes {
             assert_eq!(r.best, RowShuffleKernel::Block8, "{}x{}", r.m, r.n);
-            assert!(r.nanos_per_elem[0] > r.nanos_per_elem[2]);
+            assert!(r.nanos_per_elem[0] > r.nanos_per_elem[1]);
         }
     }
 
@@ -508,8 +507,8 @@ mod tests {
         // Rotate the winner across rungs so the lookup is actually
         // consulted per rung rather than returning one global answer.
         let mut clock = scripted_clock(|pair| {
-            let (rung, kernel_slot) = (pair / 3, pair % 3);
-            if kernel_slot == rung % 3 {
+            let (rung, kernel_slot) = (pair / 2, pair % 2);
+            if kernel_slot == rung % 2 {
                 MIN_PROBE_NANOS
             } else {
                 2 * MIN_PROBE_NANOS + kernel_slot as u64
@@ -518,7 +517,7 @@ mod tests {
         let profile = probe_with(&mut clock, 1);
         let winners: std::collections::HashSet<_> =
             profile.probes.iter().map(|r| r.best.name()).collect();
-        assert_eq!(winners.len(), 3, "every kernel should win somewhere");
+        assert_eq!(winners.len(), 2, "every kernel should win somewhere");
         for r in &profile.probes {
             let p = C2rParams::new(r.m, r.n);
             assert_eq!(profile.select(&p), r.best, "{}x{}", r.m, r.n);
@@ -527,8 +526,8 @@ mod tests {
 
     #[test]
     fn select_clamps_to_the_nearest_rung_per_class() {
-        let deltas = [3 * MIN_PROBE_NANOS, 2 * MIN_PROBE_NANOS, MIN_PROBE_NANOS];
-        let mut clock = scripted_clock(move |pair| deltas[pair % 3]);
+        let deltas = [2 * MIN_PROBE_NANOS, MIN_PROBE_NANOS];
+        let mut clock = scripted_clock(move |pair| deltas[pair % 2]);
         let profile = probe_with(&mut clock, 1);
         // 3x3 (b == 1, c == 3) sits below the smallest b == 1 rung
         // (c == 2 exists, so it resolves to the c == 2 rung's winner);
@@ -550,8 +549,8 @@ mod tests {
 
     #[test]
     fn profile_round_trips_through_the_text_format() {
-        let deltas = [MIN_PROBE_NANOS, 5 * MIN_PROBE_NANOS, 2 * MIN_PROBE_NANOS];
-        let mut clock = scripted_clock(move |pair| deltas[pair % 3]);
+        let deltas = [MIN_PROBE_NANOS, 5 * MIN_PROBE_NANOS];
+        let mut clock = scripted_clock(move |pair| deltas[pair % 2]);
         let profile = probe_with(&mut clock, 2);
         let text = profile.render();
         let back = CalibrationProfile::parse(&text).unwrap();
@@ -563,12 +562,12 @@ mod tests {
 
     #[test]
     fn hash_distinguishes_different_profiles() {
-        let mut fast_scalar = scripted_clock(|pair| match pair % 3 {
+        let mut fast_scalar = scripted_clock(|pair| match pair % 2 {
             0 => MIN_PROBE_NANOS,
             _ => 2 * MIN_PROBE_NANOS,
         });
-        let mut fast_block8 = scripted_clock(|pair| match pair % 3 {
-            2 => MIN_PROBE_NANOS,
+        let mut fast_block8 = scripted_clock(|pair| match pair % 2 {
+            1 => MIN_PROBE_NANOS,
             _ => 2 * MIN_PROBE_NANOS,
         });
         let a = probe_with(&mut fast_scalar, 1);
@@ -578,12 +577,21 @@ mod tests {
 
     #[test]
     fn corrupt_documents_are_rejected_not_panicked_on() {
-        let deltas = [MIN_PROBE_NANOS; 3];
-        let mut clock = scripted_clock(move |pair| deltas[pair % 3]);
+        let deltas = [MIN_PROBE_NANOS; 2];
+        let mut clock = scripted_clock(move |pair| deltas[pair % 2]);
         let good = probe_with(&mut clock, 1).render();
 
+        // A profile written before the 4-lane kernel was deleted: it
+        // names `block4`, so it must be re-probed, never half-read.
+        let v1 = "{\"schema\": \"ipt-calibration-v1\", \"probes\": [\
+                  {\"m\": 8, \"n\": 2, \"c\": 2, \"b\": 1, \"scalar_ns\": 1.0, \
+                  \"block4_ns\": 0.5, \"block8_ns\": 0.6, \"best\": \"block4\"}, \
+                  {\"m\": 3, \"n\": 2, \"c\": 1, \"b\": 2, \"scalar_ns\": 1.0, \
+                  \"block4_ns\": 2.0, \"block8_ns\": 2.5, \"best\": \"scalar\"}]}\n";
+
         // Truncation, wrong schema, missing fields, inconsistent c/b,
-        // bogus kernel names, a missing b class: all errors, no panics.
+        // bogus kernel names, a missing b class, an old schema: all
+        // errors, no panics.
         let cases: Vec<String> = vec![
             good[..good.len() / 2].to_string(),
             good.replace(SCHEMA, "ipt-calibration-v0"),
@@ -592,8 +600,9 @@ mod tests {
             good.replace("\"c\": 2", "\"c\": 3"),
             good.replace("\"best\": \"scalar\"", "\"best\": \"avx512\""),
             good.replace("\"best\": \"scalar\"", "\"best\": \"auto\""),
-            "{\"schema\": \"ipt-calibration-v1\", \"probes\": []}\n".to_string(),
+            format!("{{\"schema\": \"{SCHEMA}\", \"probes\": []}}\n"),
             "not json at all".to_string(),
+            v1.to_string(),
         ];
         for bad in cases {
             assert!(
@@ -620,8 +629,8 @@ mod tests {
     fn single_class_profile_defers_to_the_static_heuristic() {
         // Hand-built (not loadable) profile with only b == 1 rungs: a
         // strided shape must fall back to select_auto, not panic.
-        let deltas = [MIN_PROBE_NANOS; 3];
-        let mut clock = scripted_clock(move |pair| deltas[pair % 3]);
+        let deltas = [MIN_PROBE_NANOS; 2];
+        let mut clock = scripted_clock(move |pair| deltas[pair % 2]);
         let full = probe_with(&mut clock, 1);
         let one_class = CalibrationProfile {
             probes: full.probes.into_iter().filter(|r| r.b == 1).collect(),
@@ -635,8 +644,8 @@ mod tests {
 
     #[test]
     fn save_and_load_round_trip_through_a_file() {
-        let deltas = [MIN_PROBE_NANOS, 2 * MIN_PROBE_NANOS, 3 * MIN_PROBE_NANOS];
-        let mut clock = scripted_clock(move |pair| deltas[pair % 3]);
+        let deltas = [MIN_PROBE_NANOS, 2 * MIN_PROBE_NANOS];
+        let mut clock = scripted_clock(move |pair| deltas[pair % 2]);
         let profile = probe_with(&mut clock, 1);
         let dir = std::env::temp_dir();
         let path = dir.join(format!("ipt-calibrate-rt-{}.json", std::process::id()));

@@ -14,8 +14,8 @@
 //! average `c/3` columns and reach `c` columns when the residues collide
 //! (e.g. `i ≡ 0 (mod c)`). Inside a run the expensive Eq. 31 evaluation
 //! is needed **once**; the rest of the run is the branch-free affine walk
-//! `base, base + b, base + 2b, ...`, which the blocked kernels emit in
-//! fixed `W`-lane strips that LLVM unrolls and autovectorizes on stable
+//! `base, base + b, base + 2b, ...`, which the blocked kernel emits in
+//! fixed 8-lane strips that LLVM unrolls and autovectorizes on stable
 //! Rust (no `portable_simd`, no unsafe). When `b == 1` — every square
 //! matrix, and any shape where `m` is a multiple of `n` — the runs are
 //! literal `memcpy` segments.
@@ -27,8 +27,8 @@
 //! change the *order of index evaluation*, not the data movement.
 //!
 //! [`select`] picks a kernel per shape at runtime through three tiers:
-//! the `IPT_KERNEL` environment variable (`auto` / `scalar` / `block4` /
-//! `block8`) overrides everything for ablation studies; otherwise a
+//! the `IPT_KERNEL` environment variable (`auto` / `scalar` / `block8`)
+//! overrides everything for ablation studies; otherwise a
 //! per-host [`calibrate::CalibrationProfile`] — measured crossovers,
 //! persisted and lazily loaded — decides; otherwise the static
 //! [`select_auto`] heuristic (runs shorter than a strip are not worth
@@ -82,43 +82,35 @@ pub enum RowShuffleKernel {
     /// with wrap tests, one element at a time (§4.4 strength reduction
     /// taken to its scalar limit).
     Scalar,
-    /// Run-blocked kernel emitting 4-lane strips.
-    Block4,
     /// Run-blocked kernel emitting 8-lane strips.
     Block8,
 }
 
 impl RowShuffleKernel {
     /// Every kernel, in ablation order.
-    pub const ALL: [RowShuffleKernel; 3] = [
-        RowShuffleKernel::Scalar,
-        RowShuffleKernel::Block4,
-        RowShuffleKernel::Block8,
-    ];
+    pub const ALL: [RowShuffleKernel; 2] = [RowShuffleKernel::Scalar, RowShuffleKernel::Block8];
 
     /// Stable identifier used by `IPT_KERNEL`, the bench suite and the
     /// per-kernel hit counters.
     pub fn name(self) -> &'static str {
         match self {
             RowShuffleKernel::Scalar => "scalar",
-            RowShuffleKernel::Block4 => "block4",
             RowShuffleKernel::Block8 => "block8",
         }
     }
 
     /// Parse an `IPT_KERNEL` value, ignoring surrounding whitespace and
     /// ASCII case (shell-exported overrides arrive as `"BLOCK8"` or
-    /// `" block4 "` often enough). `Ok(None)` means `auto` (defer to the
+    /// `" block8 "` often enough). `Ok(None)` means `auto` (defer to the
     /// [`select`] resolution); unknown names are an error carrying the
     /// offending string.
     pub fn parse(s: &str) -> Result<Option<RowShuffleKernel>, String> {
         match s.trim().to_ascii_lowercase().as_str() {
             "" | "auto" => Ok(None),
             "scalar" => Ok(Some(RowShuffleKernel::Scalar)),
-            "block4" => Ok(Some(RowShuffleKernel::Block4)),
             "block8" => Ok(Some(RowShuffleKernel::Block8)),
             _ => Err(format!(
-                "unknown IPT_KERNEL {s:?} (expected auto, scalar, block4 or block8)"
+                "unknown IPT_KERNEL {s:?} (expected auto, scalar or block8)"
             )),
         }
     }
@@ -143,8 +135,7 @@ impl RowShuffleKernel {
         assert!(i < p.m, "row index {i} out of range for m = {}", p.m);
         match self {
             RowShuffleKernel::Scalar => scalar::apply_row(p, i, src, dst, dir),
-            RowShuffleKernel::Block4 => blocked::apply_row::<4, T>(p, i, src, dst, dir),
-            RowShuffleKernel::Block8 => blocked::apply_row::<8, T>(p, i, src, dst, dir),
+            RowShuffleKernel::Block8 => blocked::apply_row(p, i, src, dst, dir),
         }
     }
 }
@@ -162,16 +153,13 @@ fn env_override() -> Option<RowShuffleKernel> {
 /// `IPT_KERNEL`) — exposed for tests and the dispatch ablation.
 ///
 /// The run structure makes the trade-off explicit: runs average `c/3`
-/// columns, so blocking pays once runs comfortably cover a strip, and the
-/// wider strip needs the longer run. Coprime shapes (`c == 1`) degenerate
-/// to one-element runs — one Eq. 31 evaluation per element — where the
-/// scalar recurrence is unbeatable. When `b == 1`, runs are contiguous
+/// columns, so blocking pays once runs comfortably cover a strip. Coprime
+/// shapes (`c == 1`) degenerate to one-element runs — one Eq. 31
+/// evaluation per element — where the scalar recurrence is unbeatable. When `b == 1`, runs are contiguous
 /// copies and blocking wins as soon as any useful run length exists.
 pub fn select_auto(p: &C2rParams) -> RowShuffleKernel {
-    if (p.b == 1 && p.c >= 4) || p.c >= 64 {
+    if (p.b == 1 && p.c >= 4) || p.c >= 16 {
         RowShuffleKernel::Block8
-    } else if p.c >= 16 {
-        RowShuffleKernel::Block4
     } else {
         RowShuffleKernel::Scalar
     }
@@ -204,7 +192,7 @@ impl DecisionTier {
 /// Pick the kernel to run for this shape and report which tier decided:
 ///
 /// 1. **override** — the `IPT_KERNEL` environment variable forces a
-///    specific member (`scalar` / `block4` / `block8`; `auto` and unset
+///    specific member (`scalar` / `block8`; `auto` and unset
 ///    defer — unknown values warn once and defer too);
 /// 2. **calibrated** — a persisted per-host profile
 ///    ([`calibrate::loaded`], cache path `IPT_CALIBRATION`) answers from
@@ -287,8 +275,8 @@ mod tests {
             (64, 64),   // square: b == 1, runs are memcpy
             (128, 64),  // m multiple of n: b == 1
             (64, 128),  // n multiple of m: c == m
-            (96, 72),   // c == 24: Block4 territory
-            (192, 128), // c == 64: Block8 territory
+            (96, 72),   // c == 24: strided runs, blocked
+            (192, 128), // c == 64
             (97, 64),   // coprime, power-of-two n
             (101, 103), // coprime primes
             (48, 36),   // c == 12
@@ -428,8 +416,26 @@ mod tests {
         );
         assert_eq!(
             select_auto(&C2rParams::new(96, 80)),
-            RowShuffleKernel::Block4
+            RowShuffleKernel::Block8
         );
+    }
+
+    #[test]
+    fn select_auto_keeps_the_scalar_blocked_boundary() {
+        // Before the 4-lane kernel was folded into `Block8`, a shape went
+        // to a blocked kernel exactly when `(b == 1 && c >= 4) || c >= 16`.
+        // Dispatch must still split scalar from blocked on that line.
+        let ladder = calibrate::ladder();
+        for (m, n) in shapes().into_iter().chain(ladder) {
+            let p = C2rParams::new(m, n);
+            let blocked = (p.b == 1 && p.c >= 4) || p.c >= 16;
+            let want = if blocked {
+                RowShuffleKernel::Block8
+            } else {
+                RowShuffleKernel::Scalar
+            };
+            assert_eq!(select_auto(&p), want, "{m}x{n}");
+        }
     }
 
     #[test]
@@ -444,6 +450,8 @@ mod tests {
             Ok(Some(RowShuffleKernel::Block8))
         );
         assert!(RowShuffleKernel::parse("avx512").is_err());
+        // The deleted 4-lane kernel is an unknown name like any other.
+        assert!(RowShuffleKernel::parse("block4").is_err());
     }
 
     #[test]
@@ -453,8 +461,8 @@ mod tests {
             Ok(Some(RowShuffleKernel::Block8))
         );
         assert_eq!(
-            RowShuffleKernel::parse(" Block4 "),
-            Ok(Some(RowShuffleKernel::Block4))
+            RowShuffleKernel::parse(" Block8 "),
+            Ok(Some(RowShuffleKernel::Block8))
         );
         assert_eq!(
             RowShuffleKernel::parse("SCALAR"),

@@ -4,7 +4,7 @@
 //! `+(m mod n) (mod n)` per column, plus `+1 (mod m)` to the rotation term
 //! every `b` columns — successive indices need no division (nor even the
 //! §4.4 multiply-shift) in the inner loop. This is the proven baseline the
-//! blocked kernels are benchmarked against; its limit is the serial
+//! blocked kernel is benchmarked against; its limit is the serial
 //! dependency through the recurrence state and the per-element wrap tests.
 
 use super::ShuffleDirection;

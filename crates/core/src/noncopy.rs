@@ -197,8 +197,8 @@ mod tests {
             (25, 40),
             // Shapes where the Copy path's kernel dispatcher leaves the
             // scalar regime, so the swaps-vs-copy equivalence also pins
-            // the blocked kernels: c = 32 -> Block4, c = 64 (b = 2) and
-            // b = 1 -> Block8.
+            // the blocked kernel: c = 32, c = 64 (b = 2) and b = 1 ->
+            // Block8.
             (96, 64),
             (192, 128),
             (128, 64),
@@ -251,8 +251,8 @@ mod tests {
     fn strings_match_kernel_dispatched_copy_path() {
         // Same permutation, two very different engines: the swap-only
         // path on Strings versus the Copy path on matching integer ids,
-        // where the dispatcher picks a blocked kernel (c = 64, b = 1 ->
-        // Block8) and a Block4 shape (c = 32).
+        // where the dispatcher picks the blocked kernel (c = 64, b = 1
+        // and c = 32, b = 2 -> Block8).
         let mut s = Scratch::new();
         for (m, n) in [(128usize, 64usize), (96, 64)] {
             let mut words: Vec<String> = (0..m * n).map(|i| format!("cell-{i}")).collect();

@@ -50,16 +50,13 @@ pub fn c2r_batched<T: Copy + Send + Sync>(
     recover::run_op(
         data,
         batch,
-        |data, journal, _degraded| {
+        |data, journal| {
             ipt_pool::par_chunks_exact_mut(
                 data,
                 m * n,
                 group_grain(m * n),
                 || vec![fill; m.max(n)],
                 |tmp, b, mat| {
-                    if journal.is_some_and(|j| j.is_done(b)) {
-                        return;
-                    }
                     faulty::maybe_panic("batched", b);
                     if let Some(j) = journal {
                         j.begin_block(b, b * m * n, mat);
@@ -110,16 +107,13 @@ pub fn r2c_batched<T: Copy + Send + Sync>(
     recover::run_op(
         data,
         batch,
-        |data, journal, _degraded| {
+        |data, journal| {
             ipt_pool::par_chunks_exact_mut(
                 data,
                 m * n,
                 group_grain(m * n),
                 || vec![fill; m.max(n)],
                 |tmp, b, mat| {
-                    if journal.is_some_and(|j| j.is_done(b)) {
-                        return;
-                    }
                     faulty::maybe_panic("batched", b);
                     if let Some(j) = journal {
                         j.begin_block(b, b * m * n, mat);

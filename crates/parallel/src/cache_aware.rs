@@ -81,7 +81,7 @@ where
     recover::run_op(
         data,
         groups,
-        |data, journal, _degraded| {
+        |data, journal| {
             let scope = CheckScope::new(data.len(), n, || {
                 format!(
                     "rotate_columns_cache_aware (§4.6 coarse or staged): m={m}, n={n}, group width w={w}"
@@ -94,9 +94,6 @@ where
                 Scratch::leased,
                 |scratch: &mut Scratch<T>, sub| {
                     for g in sub {
-                        if journal.is_some_and(|j| j.is_done(g)) {
-                            continue;
-                        }
                         faulty::maybe_panic("col_cache_aware", g);
                         let j0 = g * w;
                         let gw = w.min(n - j0);
@@ -327,7 +324,7 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
     recover::run_op(
         data,
         groups,
-        |data, journal, _degraded| {
+        |data, journal| {
             let scope = CheckScope::new(data.len(), n, || {
                 format!("col_shuffle_fused (Eq. 26, staged: base(i)=(q(i)+j0) mod m, off[k]=k mod m): m={m}, n={n}, group width w={w}")
             });
@@ -338,9 +335,6 @@ pub fn col_shuffle_fused<T: Copy + Send + Sync>(
                 Scratch::leased,
                 |scratch: &mut Scratch<T>, sub| {
                     for g in sub {
-                        if journal.is_some_and(|j| j.is_done(g)) {
-                            continue;
-                        }
                         faulty::maybe_panic("col_fused", g);
                         let j0 = g * w;
                         let gw = w.min(n - j0);
@@ -394,7 +388,7 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
     recover::run_op(
         data,
         groups,
-        |data, journal, _degraded| {
+        |data, journal| {
             let scope = CheckScope::new(data.len(), n, || {
                 format!(
                     "col_shuffle_fused_inverse (Eq. 32-36 inverse, staged): m={m}, n={n}, group width w={w}"
@@ -407,9 +401,6 @@ pub fn col_shuffle_fused_inverse<T: Copy + Send + Sync>(
                 Scratch::leased,
                 |scratch: &mut Scratch<T>, sub| {
                     for g in sub {
-                        if journal.is_some_and(|j| j.is_done(g)) {
-                            continue;
-                        }
                         faulty::maybe_panic("col_fused_inverse", g);
                         let j0 = g * w;
                         let gw = w.min(n - j0);

@@ -92,7 +92,7 @@ where
     recover::run_op(
         data,
         nb * groups,
-        |data, journal, _degraded| {
+        |data, journal| {
             let scope = CheckScope::new(data.len(), n, || {
                 format!(
                     "row_permute (Eq. 31/q^-1 cycles): m={m}, n={n}, group width w={w}, \
@@ -107,9 +107,6 @@ where
                 // group width), asserted below via capacity stability.
                 let mut sized_cap = None;
                 for t in sub {
-                    if journal.is_some_and(|j| j.is_done(t)) {
-                        continue;
-                    }
                     faulty::maybe_panic("row_cycle_bundle", t);
                     let (b, g) = (t / groups, t % groups);
                     let bundle = &bundles[b];

@@ -1,81 +1,68 @@
-//! The recovery driver: undo → retry → degrade → sequential redo.
+//! The recovery driver: rollback → sequential redo.
 //!
 //! [`ipt_pool::recovery`] supplies the mechanism — the per-op
-//! [`TaskJournal`] and the `IPT_RETRY` budget; this module supplies the
+//! [`TaskJournal`] and the `IPT_RETRY` switch; this module supplies the
 //! policy. Every recoverable parallel op wraps its dispatch in
-//! [`run_op`], which climbs a bounded escalation ladder when an attempt
-//! fails with a contained [`PoolError`]:
+//! [`run_op`], which takes one recovery step when the attempt fails with
+//! a contained [`PoolError`]:
 //!
-//! 1. **Attempt 0** — the normal parallel dispatch. With recovery armed
+//! 1. **Attempt** — the normal parallel dispatch. With recovery armed
 //!    (`IPT_RETRY > 0`) each task snapshots its claimed rectangle into
 //!    the journal before its first write and commits on completion.
-//! 2. **Retries 1..=budget** — the journal rewinds every torn (armed but
-//!    uncommitted) rectangle, then the dispatch re-runs, skipping
-//!    committed tasks. From the second retry on the op runs *degraded*:
-//!    blocked row-shuffle kernels are pinned to the scalar reference
-//!    kernel.
-//! 3. **Sequential redo** — once the budget is exhausted, the
-//!    still-pending tasks are re-executed one by one on the op's
-//!    sequential reference path (`redo`), which shares no code with the
-//!    parallel fault surface (no injection sites, no `UnsafeSlice`). A
-//!    panic even here is caught and surfaced as a contained
-//!    [`PoolError`] rather than torn data or an abort.
+//! 2. **Rollback and sequential redo** — the journal rewinds every torn
+//!    (armed but uncommitted) rectangle, then the still-pending tasks are
+//!    re-executed one by one on the op's sequential reference path
+//!    (`redo`), which shares no code with the parallel fault surface (no
+//!    injection sites, no `UnsafeSlice`). A panic even here is caught
+//!    and surfaced as a contained [`PoolError`] rather than torn data or
+//!    an abort.
+//!
+//! There is no parallel re-attempt: injected faults are deterministic
+//! per (site, item), so re-running the same dispatch — or the same
+//! dispatch on the scalar kernel — re-faults on the same task, and the
+//! sequential redo is where every armed failure heals anyway.
 //!
 //! With `IPT_RETRY=0` (the default) the driver is a transparent
 //! passthrough: one attempt, no journal, no snapshots — the historical
 //! first-failure-aborts contract, bit for bit.
 //!
-//! The ladder runs *per op*, not per phase: each op has its own journal
-//! and budget, so a later op's failure can never rewind an earlier op's
-//! completed work (the unfused column steps, e.g. `cache_aware::row_permute`
-//! then `cache_aware::col_rotate_j_inverse`, are separate ops).
+//! Recovery runs *per op*, not per phase: each op has its own journal,
+//! so a later op's failure can never rewind an earlier op's completed
+//! work (the unfused column steps, e.g. `cache_aware::row_permute` then
+//! `cache_aware::col_rotate_j_inverse`, are separate ops).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ipt_pool::recovery::{retry_budget, TaskJournal};
 use ipt_pool::{stats, PoolError};
 
-/// Drive one parallel op through the escalation ladder (see the module
-/// docs). `attempt(data, journal, degraded)` runs the op's parallel
-/// dispatch — journaling and skipping committed tasks when `journal` is
-/// `Some` — and `redo(data, task)` re-executes one task sequentially on
-/// the reference path after the journal has restored its prior bytes.
+/// Drive one parallel op through attempt → rollback → sequential redo
+/// (see the module docs). `attempt(data, journal)` runs the op's
+/// parallel dispatch — journaling each task when `journal` is `Some` —
+/// and `redo(data, task)` re-executes one task sequentially on the
+/// reference path after the journal has restored its prior bytes.
 pub(crate) fn run_op<T, A, R>(
     data: &mut [T],
     tasks: usize,
-    mut attempt: A,
+    attempt: A,
     mut redo: R,
 ) -> Result<(), PoolError>
 where
     T: Copy + Send + Sync,
-    A: FnMut(&mut [T], Option<&TaskJournal<T>>, bool) -> Result<(), PoolError>,
+    A: FnOnce(&mut [T], Option<&TaskJournal<T>>) -> Result<(), PoolError>,
     R: FnMut(&mut [T], usize),
 {
-    let budget = retry_budget();
-    if budget == 0 {
-        return attempt(data, None, false);
+    if retry_budget() == 0 {
+        return attempt(data, None);
     }
     let journal = TaskJournal::new(tasks);
-    if attempt(data, Some(&journal), false).is_ok() {
+    if attempt(data, Some(&journal)).is_ok() {
         return Ok(());
     }
-    for retry in 1..=budget {
-        journal.restore(data);
-        stats::record_retry();
-        let degraded = retry >= 2;
-        if degraded {
-            stats::record_degraded();
-        }
-        if attempt(data, Some(&journal), degraded).is_ok() {
-            stats::record_recovered();
-            return Ok(());
-        }
-    }
-    // Budget exhausted: rewind the last failure and re-run whatever never
-    // committed on the sequential reference path.
+    // Rewind the torn tasks and re-run whatever never committed on the
+    // sequential reference path.
     journal.restore(data);
     stats::record_retry();
-    stats::record_degraded();
     let pending = journal.pending();
     let current = std::cell::Cell::new(pending.first().copied().unwrap_or(0));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -149,13 +136,12 @@ mod tests {
         let out = run_op(
             &mut data,
             2,
-            |_, journal, degraded| {
+            |_, journal| {
                 calls.set(calls.get() + 1);
                 assert!(journal.is_none(), "budget 0 must not journal");
-                assert!(!degraded);
                 Err(synthetic_err())
             },
-            |_: &mut [u32], _| panic!("budget 0 must never reach the redo rung"),
+            |_: &mut [u32], _| panic!("budget 0 must never reach the redo"),
         );
         unforce_retry();
         assert!(out.is_err());
@@ -167,23 +153,19 @@ mod tests {
     fn transient_failure_is_rolled_back_and_retried() {
         let _g = retry_lock();
         force_retry(2);
-        // Two tasks, each doubling its half of the buffer; the first
-        // attempt dies mid-way through task 1.
-        let calls = Cell::new(0);
+        // Two tasks, each doubling its half of the buffer; the attempt
+        // dies mid-way through task 1, which the redo then finishes.
+        let redone = RefCell::new(Vec::new());
         let mut data = vec![1u32, 2, 3, 4];
         let out = run_op(
             &mut data,
             2,
-            |data, journal, _| {
+            |data, journal| {
                 let j = journal.expect("armed run must journal");
-                calls.set(calls.get() + 1);
                 for t in 0..2 {
-                    if j.is_done(t) {
-                        continue;
-                    }
                     j.begin_block(t, t * 2, &data[t * 2..t * 2 + 2]);
                     data[t * 2] *= 2;
-                    if calls.get() == 1 && t == 1 {
+                    if t == 1 {
                         return Err(synthetic_err()); // torn: half doubled
                     }
                     data[t * 2 + 1] *= 2;
@@ -191,31 +173,18 @@ mod tests {
                 }
                 Ok(())
             },
-            |_: &mut [u32], _| panic!("the retry should succeed first"),
+            |data: &mut [u32], t| {
+                // The journal must have rewound the torn half first.
+                assert_eq!(data[t * 2..t * 2 + 2], [3, 4], "task {t} not rewound");
+                redone.borrow_mut().push(t);
+                data[t * 2] *= 2;
+                data[t * 2 + 1] *= 2;
+            },
         );
         unforce_retry();
         out.unwrap();
-        assert_eq!(calls.get(), 2);
+        assert_eq!(*redone.borrow(), [1], "only the torn task is redone");
         assert_eq!(data, [2, 4, 6, 8], "torn task rewound, then redone");
-    }
-
-    #[test]
-    fn degrade_flag_rises_on_the_second_retry() {
-        let _g = retry_lock();
-        force_retry(3);
-        let seen = RefCell::new(Vec::new());
-        let mut data = [0u8; 1];
-        let _ = run_op(
-            &mut data,
-            1,
-            |_, _, degraded| {
-                seen.borrow_mut().push(degraded);
-                Err(synthetic_err())
-            },
-            |_: &mut [u8], _| {},
-        );
-        unforce_retry();
-        assert_eq!(*seen.borrow(), [false, false, true, true]);
     }
 
     #[test]
@@ -227,15 +196,12 @@ mod tests {
         let out = run_op(
             &mut data,
             3,
-            |data, journal, _| {
+            |data, journal| {
                 let j = journal.unwrap();
-                // Task 0 commits; task 1 tears; task 2 never starts —
-                // deterministically, on every attempt.
-                if !j.is_done(0) {
-                    j.begin_block(0, 0, &data[0..1]);
-                    data[0] += 1;
-                    j.commit(0);
-                }
+                // Task 0 commits; task 1 tears; task 2 never starts.
+                j.begin_block(0, 0, &data[0..1]);
+                data[0] += 1;
+                j.commit(0);
                 j.begin_block(1, 1, &data[1..2]);
                 data[1] = 999;
                 Err(synthetic_err())
@@ -247,9 +213,8 @@ mod tests {
         // Task 0's parallel result survives; 1 and 2 are redone cleanly.
         assert_eq!(data, [11, 21, 31]);
         let d = stats::snapshot().delta_since(&before);
-        assert!(d.retries_attempted >= 2, "{d:?}");
+        assert!(d.retries_attempted >= 1, "{d:?}");
         assert!(d.recovered >= 1, "{d:?}");
-        assert!(d.degraded >= 1, "{d:?}");
     }
 
     #[test]
@@ -260,7 +225,7 @@ mod tests {
         let out = run_op(
             &mut data,
             2,
-            |_, _, _| Err(synthetic_err()),
+            |_, _| Err(synthetic_err()),
             |_: &mut [u8], _| panic!("redo exploded"),
         );
         unforce_retry();

@@ -30,10 +30,9 @@ use ipt_pool::PoolError;
 /// "on-chip" analogue) and applies the kernel's per-row permutation.
 ///
 /// With recovery armed (`IPT_RETRY > 0`) each row snapshots itself into
-/// the op's journal before the kernel touches it; on the escalation
-/// ladder's degraded rungs the requested kernel is pinned back to the
-/// scalar reference kernel, and the final rung re-gathers the pending
-/// rows sequentially through `d'` / `d'^-1` directly.
+/// the op's journal before the kernel touches it; after a contained
+/// failure the torn rows are rewound and every pending row is re-gathered
+/// sequentially through `d'` / `d'^-1` directly.
 pub fn row_shuffle_parallel_with<T: Copy + Send + Sync>(
     data: &mut [T],
     p: &C2rParams,
@@ -45,21 +44,13 @@ pub fn row_shuffle_parallel_with<T: Copy + Send + Sync>(
     recover::run_op(
         data,
         rows,
-        |data, journal, degraded| {
-            let kernel = if degraded {
-                RowShuffleKernel::Scalar
-            } else {
-                kernel
-            };
+        |data, journal| {
             ipt_pool::par_chunks_exact_mut(
                 data,
                 n,
                 row_grain(n),
                 || Vec::with_capacity(n),
                 |tmp: &mut Vec<T>, i, row| {
-                    if journal.is_some_and(|j| j.is_done(i)) {
-                        return;
-                    }
                     faulty::maybe_panic("row_shuffle", i);
                     if let Some(j) = journal {
                         j.begin_block(i, i * n, row);
@@ -144,7 +135,7 @@ mod tests {
     #[test]
     fn parallel_row_shuffle_matches_sequential() {
         // Includes shapes the dispatcher sends to every kernel: coprime
-        // (scalar), c = 32 (Block4), c = 64 (Block8), b = 1 (memcpy runs).
+        // (scalar), c = 32 and c = 64 (Block8), b = 1 (memcpy runs).
         for (m, n) in [
             (4usize, 8usize),
             (7, 13),

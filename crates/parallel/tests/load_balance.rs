@@ -53,14 +53,14 @@ fn skewed_shapes_balance_and_record_the_dispatched_kernel() {
     let d = shuffled_delta(1999, 9);
     assert_balanced(&d, 1999, "1999x9");
     assert_eq!(d.kernel("scalar").unwrap().hits, 1, "coprime -> scalar");
-    assert!(d.kernel("block4").is_none() && d.kernel("block8").is_none());
+    assert!(d.kernel("block8").is_none());
 
     // Wide: 9 rows of 1999 -> 4 parts of 3/2/2/2.
     let d = shuffled_delta(9, 1999);
     assert_balanced(&d, 9, "9x1999");
     assert_eq!(d.kernel("scalar").unwrap().hits, 1);
 
-    // Large-gcd shape (c = 256 >= 64): the run-blocked kernel dispatches.
+    // Large-gcd shape (c = 256 >= 16): the run-blocked kernel dispatches.
     let d = shuffled_delta(1280, 256);
     assert_balanced(&d, 1280, "1280x256");
     assert_eq!(d.kernel("block8").unwrap().hits, 1, "c = 256 -> block8");

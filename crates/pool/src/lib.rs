@@ -161,7 +161,7 @@ impl PoolError {
     /// Build a `PoolError` from a caught panic payload, rendering it the
     /// way the executor does (`&str` / `String` verbatim, anything else
     /// as a stable placeholder). Used by the recovery driver in
-    /// `ipt-parallel` when its sequential redo rung itself panics.
+    /// `ipt-parallel` when its sequential redo itself panics.
     pub fn from_payload(
         worker: usize,
         chunk: usize,

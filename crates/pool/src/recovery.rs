@@ -10,15 +10,14 @@
 //!   rectangle, a *commit* mark once the task finishes, and a restore
 //!   path that rewinds every armed-but-uncommitted snapshot after a
 //!   contained failure. Because the phases are permutations (running a
-//!   task twice corrupts data), the commit bitmap doubles as the "skip
-//!   on re-attempt" filter.
-//! * [`retry_budget`] — the `IPT_RETRY` knob: how many recovery rungs a
-//!   failed parallel op may climb before giving up. `0` (the default)
-//!   preserves the historical abort contract bit-for-bit: no journal is
-//!   created, no snapshot is taken, the first contained failure surfaces
-//!   unchanged.
+//!   task twice corrupts data), the commit bitmap decides which tasks
+//!   the sequential redo must re-run ([`TaskJournal::pending`]).
+//! * [`retry_budget`] — the `IPT_RETRY` knob: any positive value arms
+//!   recovery. `0` (the default) preserves the historical abort
+//!   contract bit-for-bit: no journal is created, no snapshot is taken,
+//!   the first contained failure surfaces unchanged.
 //!
-//! The retry *driver* that walks the escalation ladder lives in
+//! The recovery *driver* (rollback, then sequential redo) lives in
 //! `ipt-parallel` (it needs each op's reference redo path); this module
 //! is deliberately mechanism-only so the pool stays policy-free.
 //!
@@ -43,14 +42,13 @@ static ENV_RETRY: OnceLock<Option<usize>> = OnceLock::new();
 /// `budget + 1`.
 static FORCED_RETRY: AtomicU64 = AtomicU64::new(0);
 
-/// The recovery budget: how many retry rungs a failed parallel op may
-/// climb (`IPT_RETRY`, default `0` = recovery disarmed, first failure
-/// aborts exactly as before).
+/// The `IPT_RETRY` value (a non-negative integer, default `0`): `0`
+/// disarms recovery, so the first failure aborts exactly as before; any
+/// positive value arms it, and the count itself does not matter.
 ///
-/// The ladder the `ipt-parallel` driver climbs within this budget:
-/// retry 1 re-runs the same configuration, retries 2+ degrade blocked
-/// row-shuffle kernels to scalar, and once the budget is exhausted the
-/// still-pending tasks are re-run sequentially on the reference path.
+/// Armed, the `ipt-parallel` driver journals every task; after a
+/// contained failure it rewinds the torn tasks and re-runs the
+/// still-pending ones sequentially on the reference path.
 pub fn retry_budget() -> usize {
     match FORCED_RETRY.load(Ordering::Relaxed) {
         0 => ipt_core::env::parse_once(&ENV_RETRY, "IPT_RETRY", |raw| {
@@ -87,7 +85,7 @@ struct Snapshot<T> {
 /// `T` is the element type of the slice the op mutates. The journal is
 /// shared by reference across the op's workers; all methods take `&self`.
 pub struct TaskJournal<T> {
-    /// Commit bitmap: `done[t]` once task `t` has fully applied. Re-runs
+    /// Commit bitmap: `done[t]` once task `t` has fully applied. The redo
     /// must skip committed tasks — the phases are permutations, and
     /// applying one twice is as corrupting as tearing it.
     done: Vec<AtomicBool>,
@@ -112,7 +110,7 @@ impl<T: Copy> TaskJournal<T> {
         self.done.len()
     }
 
-    /// Whether `task` committed in an earlier attempt (re-runs skip it).
+    /// Whether `task` has committed (the redo skips it).
     pub fn is_done(&self, task: usize) -> bool {
         self.done[task].load(Ordering::Acquire)
     }
@@ -168,7 +166,7 @@ impl<T: Copy> TaskJournal<T> {
 
     /// Rewind every armed-but-uncommitted snapshot into `data`, leaving
     /// the matrix exactly as it was before those tasks started. Call
-    /// after a failed dispatch has joined, before re-attempting.
+    /// after a failed dispatch has joined, before the redo.
     pub fn restore(&self, data: &mut [T]) {
         let mut armed = self.armed.lock().unwrap();
         for snap in armed.drain(..) {
@@ -180,8 +178,8 @@ impl<T: Copy> TaskJournal<T> {
         }
     }
 
-    /// The tasks that never committed, in index order — the final
-    /// sequential-redo rung's work list.
+    /// The tasks that never committed, in index order — the sequential
+    /// redo's work list.
     pub fn pending(&self) -> Vec<usize> {
         (0..self.done.len()).filter(|&t| !self.is_done(t)).collect()
     }
@@ -270,7 +268,7 @@ mod tests {
             j.restore(&mut data);
             assert_eq!(data, original, "trial {trial}: restore not byte-exact");
             // A drained journal is idempotent: a second restore (e.g. a
-            // later rung failing before any new begin) changes nothing.
+            // failure before any new begin) changes nothing.
             j.restore(&mut data);
             assert_eq!(data, original, "trial {trial}: drained restore mutated");
         }

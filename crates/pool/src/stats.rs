@@ -65,16 +65,12 @@ static SCRATCH_REUSES: AtomicU64 = AtomicU64::new(0);
 /// Worker panics caught at a chunk boundary and surfaced as `PoolError`.
 static PANICS_CONTAINED: AtomicU64 = AtomicU64::new(0);
 
-/// Recovery re-attempts driven by the retry ladder (`IPT_RETRY`): every
-/// re-execution of a failed parallel op after a snapshot restore,
-/// including the final sequential redo rung.
+/// Recovery re-attempts (`IPT_RETRY`): one per failed parallel op that
+/// was rolled back and handed to the sequential redo.
 static RETRIES_ATTEMPTED: AtomicU64 = AtomicU64::new(0);
 /// Parallel ops that completed successfully *after* at least one failure
 /// — the recovery layer's bottom line.
 static RECOVERED: AtomicU64 = AtomicU64::new(0);
-/// Retry rungs that ran with a degraded configuration (blocked kernels
-/// pinned to scalar, or the sequential reference redo).
-static DEGRADED: AtomicU64 = AtomicU64::new(0);
 /// Tasks the hang watchdog (`IPT_WATCHDOG_MS`) found past their deadline.
 static WATCHDOG_TRIPS: AtomicU64 = AtomicU64::new(0);
 
@@ -223,26 +219,19 @@ pub(crate) fn record_contained_panic() {
 }
 
 /// Count one recovery re-attempt: a failed parallel op was rolled back
-/// from its undo snapshots and re-executed (see
-/// [`recovery`](crate::recovery)). Called by the retry driver, once per
-/// rung actually run — never on the fault-free fast path.
+/// from its undo snapshots and handed to the sequential redo (see
+/// [`recovery`](crate::recovery)). Called by the recovery driver once
+/// per failed op — never on the fault-free fast path.
 #[inline]
 pub fn record_retry() {
     RETRIES_ATTEMPTED.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Count one parallel op that completed after at least one contained
-/// failure: the recovery ladder's success tally.
+/// Count one parallel op that completed after a contained failure: the
+/// recovery path's success tally.
 #[inline]
 pub fn record_recovered() {
     RECOVERED.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Count one retry rung run with a degraded configuration (scalar-pinned
-/// kernels or the sequential reference redo).
-#[inline]
-pub fn record_degraded() {
-    DEGRADED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Count one task the hang watchdog found past its `IPT_WATCHDOG_MS`
@@ -396,7 +385,7 @@ pub struct WorkerStats {
 /// (see [`record_kernel`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelStats {
-    /// The kernel's stable name (`"scalar"`, `"block4"`, `"block8"`).
+    /// The kernel's stable name (`"scalar"`, `"block8"`).
     pub name: &'static str,
     /// Whole-matrix row shuffles attributed to this kernel.
     pub hits: u64,
@@ -462,15 +451,12 @@ pub struct PoolStats {
     /// fault-injection run, or a real bug the containment turned from UB
     /// into a reported abort.
     pub panics_contained: u64,
-    /// Recovery re-attempts driven by the `IPT_RETRY` ladder (see
+    /// Recovery re-attempts with `IPT_RETRY` armed (see
     /// [`record_retry`]). Zero on every fault-free run.
     pub retries_attempted: u64,
-    /// Parallel ops that completed after at least one contained failure
+    /// Parallel ops that completed after a contained failure
     /// (see [`record_recovered`]).
     pub recovered: u64,
-    /// Retry rungs run with a degraded configuration (see
-    /// [`record_degraded`]).
-    pub degraded: u64,
     /// Tasks the hang watchdog found past their `IPT_WATCHDOG_MS`
     /// deadline (see [`crate::watchdog`]).
     pub watchdog_trips: u64,
@@ -585,7 +571,6 @@ impl PoolStats {
                 .retries_attempted
                 .saturating_sub(earlier.retries_attempted),
             recovered: self.recovered.saturating_sub(earlier.recovered),
-            degraded: self.degraded.saturating_sub(earlier.degraded),
             watchdog_trips: self.watchdog_trips.saturating_sub(earlier.watchdog_trips),
             sched: SchedStats {
                 schedules: self.sched.schedules.saturating_sub(earlier.sched.schedules),
@@ -666,7 +651,6 @@ pub fn snapshot() -> PoolStats {
         panics_contained: PANICS_CONTAINED.load(Ordering::Relaxed),
         retries_attempted: RETRIES_ATTEMPTED.load(Ordering::Relaxed),
         recovered: RECOVERED.load(Ordering::Relaxed),
-        degraded: DEGRADED.load(Ordering::Relaxed),
         watchdog_trips: WATCHDOG_TRIPS.load(Ordering::Relaxed),
         sched: SchedStats {
             schedules: SCHED_SCHEDULES.load(Ordering::Relaxed),
@@ -694,7 +678,6 @@ pub fn reset() {
     PANICS_CONTAINED.store(0, Ordering::Relaxed);
     RETRIES_ATTEMPTED.store(0, Ordering::Relaxed);
     RECOVERED.store(0, Ordering::Relaxed);
-    DEGRADED.store(0, Ordering::Relaxed);
     WATCHDOG_TRIPS.store(0, Ordering::Relaxed);
     SCHED_SCHEDULES.store(0, Ordering::Relaxed);
     SCHED_BUNDLES.store(0, Ordering::Relaxed);
@@ -811,11 +794,9 @@ mod tests {
         record_retry();
         record_retry();
         record_recovered();
-        record_degraded();
         let d = snapshot().delta_since(&before);
         assert!(d.retries_attempted >= 2, "{d:?}");
         assert!(d.recovered >= 1, "{d:?}");
-        assert!(d.degraded >= 1, "{d:?}");
     }
 
     #[test]

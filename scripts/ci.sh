@@ -33,8 +33,9 @@
 #                        never a SIGSEGV/abort — proving panic
 #                        containment end to end through the CLI
 #   tier 3  recovery     the same fault-armed bench with IPT_RETRY=2 must
-#                        now *complete* (exit 0, gates evaluated) — the
-#                        undo/retry ladder healing every injected fault —
+#                        now *complete* (exit 0, gates evaluated) — journal
+#                        rollback plus sequential redo healing every
+#                        injected fault —
 #                        and an IPT_FAULT=hang:1 run under IPT_WATCHDOG_MS
 #                        must exit 5 via the watchdog, never wedge
 #
@@ -142,20 +143,20 @@ fault_stage() {
 }
 
 recovery_stage() {
-    stage "recovery: armed retries must self-heal injected faults (tier 3)"
+    stage "recovery: armed rollback + redo must self-heal injected faults (tier 3)"
     cargo build --release -p ipt-cli --features fault-inject --quiet
 
     # The recovery test suite end to end (also covers IPT_RETRY=0
     # containment): every injected panic/skew recovered byte-identically
-    # at the armed budget, abort contract intact at budget 0.
+    # with recovery armed, abort contract intact at IPT_RETRY=0.
     cargo test --release -p ipt --features fault-inject \
         --test fault_injection -- armed_retry budget_zero
 
-    # Same fault dose as the fault stage — but with the ladder armed the
-    # bench must *complete*: exit 0, every per-run verification pass, the
-    # regression gate actually evaluated. Exit 4 here means the ladder
-    # failed to heal a contained fault; anything else means containment
-    # itself broke.
+    # Same fault dose as the fault stage — but with recovery armed (any
+    # positive IPT_RETRY) the bench must *complete*: exit 0, every per-run
+    # verification pass, the regression gate actually evaluated. Exit 4
+    # here means rollback + sequential redo failed to heal a contained
+    # fault; anything else means containment itself broke.
     local out rc=0
     out="$(IPT_FAULT=panic:0.05 IPT_CHECK=1 IPT_RETRY=2 \
         target/release/ipt-cli bench --suite parallel --quick --samples 2 \
@@ -219,7 +220,7 @@ main_pipeline() {
     # A --quick run keeps the full (algorithm, shape) entry set of each
     # committed BENCH_*.json (compare keys must match) and only cuts
     # samples, so every suite finishes in seconds. The kernels gate defends
-    # the kernel family's headline property — the run-blocked kernels'
+    # the kernel family's headline property — the run-blocked kernel's
     # multiple-x win over scalar on large-gcd shapes; the aos/batched gates
     # defend the §6.1 skinny specialization and the shared-params batched
     # path. Losing any of those shows up as a 50%+ median drop; machine
@@ -245,7 +246,7 @@ main_pipeline() {
     trap cleanup EXIT
 
     stage "calibrate: per-host kernel crossovers (tier 2)"
-    # Measure this box's scalar/block4/block8 crossovers and persist the
+    # Measure this box's scalar/block8 crossovers and persist the
     # profile next to the bench archive (so a CI artifact upload of the
     # history dir carries it too). Exporting IPT_CALIBRATION makes every
     # bench run below resolve dispatch through the measured profile — the

@@ -429,12 +429,12 @@ fn armed_retry_recovers_every_injected_panic() {
 fn armed_retry_recovers_injected_skews_in_checked_mode() {
     let _guard = setup();
     let _armed = Armed::new(2);
-    // Rate 1.0 defeats same-config retries (injection is deterministic
-    // per (site, item)), so recovery must come from the final
-    // sequential-redo rung, which has no skew sites. The checker
+    // Injection is deterministic per (site, item), so recovery comes
+    // from the sequential redo, which has no skew sites. The checker
     // (IPT_CHECK=1, set in setup()) rejects each skewed write before it
     // lands, so the undo snapshots fully describe the torn state. The
-    // lower rates leave some tasks clean, so retries skip committed work.
+    // lower rates leave some tasks clean, so the redo skips committed
+    // work.
     let mut injected = 0u64;
     for threads in [1usize, 2, 4] {
         set_num_threads(threads);

@@ -167,7 +167,7 @@ fn soak_faults_always_contained_and_detected() {
             FaultMode::Skew(0.1)
         };
         let opts = ParOptions::default();
-        // Arm the recovery ladder on a third of the rounds: those runs
+        // Arm recovery on a third of the rounds: those runs
         // must *complete* despite the injected faults.
         let armed = round % 3 == 2;
         recovery::force_retry(if armed { 2 } else { 0 });
