@@ -2,24 +2,22 @@
 //!
 //! An Array of Structures of `N` structures with `s` fields is, in memory,
 //! an `N x s` row-major matrix; the Structure-of-Arrays layout is its
-//! `s x N` transpose (paper §6.1). The general transpose handles this, but
-//! poorly: it is tuned for both dimensions being large, while here one
-//! dimension is tiny (`s` in `[2, 32)` in the paper's Figure 7 experiment)
-//! and the other huge.
+//! `s x N` transpose (paper §6.1). Here one dimension is tiny (`s` in
+//! `[2, 32)` in the paper's Figure 7 experiment) and the other huge.
 //!
-//! The specialization (§6.1): orient the algorithm so the **small**
-//! dimension is the row count of the operating view. Then
+//! The paper's specialization (§6.1) orients the algorithm so the
+//! **small** dimension is the row count of the operating view: every
+//! column is then only `s` elements tall, and the row shuffle streams
+//! over contiguous rows of `N` elements. That orientation is all this
+//! crate adds. [`aos_to_soa`] / [`soa_to_aos`] run `ipt-parallel`'s one
+//! column engine ([`ipt_parallel::r2c_parallel`] /
+//! [`ipt_parallel::c2r_parallel`] with `m = s`), whose staged gather
+//! already moves each `s`-tall column group through one worker-local
+//! stage per pass — the CPU counterpart of §6.1's fused on-chip column
+//! blocks. The conversions therefore share the engine's phase timers,
+//! fault sites and `IPT_RETRY` recovery.
 //!
-//! * every column is only `s` elements tall, so all column operations run
-//!   "on-chip": column blocks are staged through task-local buffers and
-//!   the rotation + row-permutation steps are fused into a single pass
-//!   over memory ([`skinny`]);
-//! * the row shuffle works on contiguous rows of `N` elements — pure
-//!   streaming traffic;
-//! * the whole conversion is three passes (two when `gcd(s, N) == 1`).
-//!
-//! [`aos_to_soa`] / [`soa_to_aos`] wrap this for the two conversion
-//! directions, and [`SoaView`] gives typed access to the converted data.
+//! [`SoaView`] gives typed access to the converted data.
 //!
 //! ```
 //! use ipt_aos_soa::{aos_to_soa, soa_to_aos, SoaView};
@@ -36,9 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod skinny;
-
-pub use skinny::{transpose_skinny_c2r, transpose_skinny_r2c};
+use ipt_parallel::{c2r_parallel, r2c_parallel, ParOptions, TransposeAborted};
 
 /// Convert an Array of Structures to a Structure of Arrays in place.
 ///
@@ -62,18 +58,19 @@ pub use skinny::{transpose_skinny_c2r, transpose_skinny_r2c};
 ///
 /// # Errors
 ///
-/// Returns [`ipt_parallel::TransposeAborted`] if a worker panicked
-/// mid-conversion (the buffer may be torn; see `ipt_parallel`).
+/// Returns [`TransposeAborted`] if a worker panicked mid-conversion and
+/// recovery was not armed (the buffer may be torn; see `ipt_parallel`).
 pub fn aos_to_soa<T: Copy + Send + Sync>(
     data: &mut [T],
     n_structs: usize,
     fields: usize,
-) -> Result<(), ipt_parallel::TransposeAborted> {
+) -> Result<(), TransposeAborted> {
     assert!(n_structs > 0 && fields > 0, "degenerate AoS shape");
     assert_eq!(data.len(), n_structs * fields, "buffer/shape mismatch");
-    // R2C with the small dimension as the view's row count: consumes the
-    // N x s buffer, produces s x N.
-    skinny::transpose_skinny_r2c(data, fields, n_structs)
+    // §6.1: R2C with the small dimension as the view's row count, so the
+    // column passes run down `fields`-tall columns. Consumes the N x s
+    // buffer, produces s x N.
+    r2c_parallel(data, fields, n_structs, &ParOptions::default())
 }
 
 /// Convert a Structure of Arrays back to an Array of Structures in place —
@@ -88,10 +85,11 @@ pub fn soa_to_aos<T: Copy + Send + Sync>(
     data: &mut [T],
     n_structs: usize,
     fields: usize,
-) -> Result<(), ipt_parallel::TransposeAborted> {
+) -> Result<(), TransposeAborted> {
     assert!(n_structs > 0 && fields > 0, "degenerate SoA shape");
     assert_eq!(data.len(), n_structs * fields, "buffer/shape mismatch");
-    skinny::transpose_skinny_c2r(data, fields, n_structs)
+    // C2R in the same short-column orientation: s x N in, N x s out.
+    c2r_parallel(data, fields, n_structs, &ParOptions::default())
 }
 
 /// A read-only Structure-of-Arrays view: `fields` arrays of `len`
@@ -150,7 +148,20 @@ mod tests {
 
     #[test]
     fn aos_to_soa_is_a_transpose() {
-        for (n, s) in [(7usize, 3usize), (100, 2), (33, 8), (64, 16), (10, 10)] {
+        // Includes shapes with more fields than structs and one-struct /
+        // one-field degenerate shapes.
+        for (n, s) in [
+            (7usize, 3usize),
+            (100, 2),
+            (33, 8),
+            (64, 16),
+            (10, 10),
+            (7, 100),
+            (127, 173),
+            (2, 300),
+            (3, 64),
+            (50, 1),
+        ] {
             let mut a = vec![0u64; n * s];
             fill_pattern(&mut a);
             let want = reference_transpose(&a, n, s, Layout::RowMajor);

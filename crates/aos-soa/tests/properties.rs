@@ -1,9 +1,9 @@
-//! Property tests for the AoS ⇄ SoA conversion and the skinny kernels.
+//! Property tests for the AoS ⇄ SoA conversion.
 //!
 //! Cases are drawn from the deterministic `ipt_core::check::Rng` (fixed
 //! seeds), so every run exercises the same shapes and payloads.
 
-use ipt_aos_soa::{aos_to_soa, soa_to_aos, transpose_skinny_c2r, transpose_skinny_r2c, SoaView};
+use ipt_aos_soa::{aos_to_soa, soa_to_aos, SoaView};
 use ipt_core::check::{fill_pattern, Rng};
 use ipt_core::Scratch;
 
@@ -32,6 +32,9 @@ fn conversion_places_every_field() {
     }
 }
 
+/// Both conversions on skinny and non-skinny shapes alike: `soa_to_aos`
+/// of `n` structs of `m` fields is `ipt_core::c2r(m, n)`, `aos_to_soa`
+/// is `ipt_core::r2c(m, n)`.
 #[test]
 fn skinny_kernels_equal_core_for_any_shape() {
     let mut rng = Rng::new(0xa05a_0002);
@@ -41,14 +44,14 @@ fn skinny_kernels_equal_core_for_any_shape() {
         let mut a = vec![0u64; m * n];
         fill_pattern(&mut a);
         let mut b = a.clone();
-        transpose_skinny_c2r(&mut a, m, n).unwrap();
+        soa_to_aos(&mut a, n, m).unwrap();
         ipt_core::c2r(&mut b, m, n, &mut Scratch::new());
         assert_eq!(&a, &b, "case {case}: c2r {m}x{n}");
 
         let mut a = vec![0u32; m * n];
         fill_pattern(&mut a);
         let mut b = a.clone();
-        transpose_skinny_r2c(&mut a, m, n).unwrap();
+        aos_to_soa(&mut a, n, m).unwrap();
         ipt_core::r2c(&mut b, m, n, &mut Scratch::new());
         assert_eq!(a, b, "case {case}: r2c {m}x{n}");
     }

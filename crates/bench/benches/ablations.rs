@@ -6,7 +6,7 @@
 //! * gather- vs scatter-based row shuffle (§5.1 chose gather);
 //! * direct column shuffle vs the §4.1 restricted decomposition;
 //! * §4.6 zero-scratch cycle rotation vs Algorithm 1's scratch rotation;
-//! * §6.1 skinny specialization vs the general engine on AoS shapes;
+//! * §6.1 short-column orientation vs the §5.2 one on AoS shapes;
 //! * §5.2 C2R/R2C heuristic vs always picking one direction.
 
 use ipt_bench::micro::{Criterion, Throughput};
@@ -127,20 +127,23 @@ fn skinny_specialization(c: &mut Criterion) {
     g.throughput(Throughput::Bytes((2 * n_structs * fields * 8) as u64));
     g.sample_size(10);
     g.bench_function("specialized-skinny", |b| {
+        // §6.1: `fields`-tall columns (R2C on the fields x n_structs view).
         b.iter(|| {
             fill(&mut buf);
             ipt_aos_soa::aos_to_soa(black_box(&mut buf), n_structs, fields).unwrap();
         })
     });
     g.bench_function("general-engine", |b| {
+        // §5.2: C2R forced, `n_structs`-tall columns.
         let opts = ParOptions::default();
         b.iter(|| {
             fill(&mut buf);
-            ipt_parallel::transpose_parallel(
+            ipt_parallel::transpose_parallel_with(
                 black_box(&mut buf),
                 n_structs,
                 fields,
                 ipt_core::Layout::RowMajor,
+                ipt_core::Algorithm::C2r,
                 &opts,
             )
             .unwrap();

@@ -50,10 +50,10 @@ fn bench_engines(c: &mut Criterion) {
                 ipt_parallel::c2r_parallel(black_box(&mut buf), m, n, &opts).unwrap();
             })
         });
-        g.bench_function(BenchmarkId::from_parameter("skinny"), |b| {
+        g.bench_function(BenchmarkId::from_parameter("soa-to-aos"), |b| {
             b.iter(|| {
                 fill(&mut buf);
-                ipt_aos_soa::transpose_skinny_c2r(black_box(&mut buf), m, n).unwrap();
+                ipt_aos_soa::soa_to_aos(black_box(&mut buf), n, m).unwrap();
             })
         });
         g.bench_function(BenchmarkId::from_parameter("baseline-cycle-marked"), |b| {

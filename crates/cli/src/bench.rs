@@ -75,8 +75,9 @@ MODEL.md), carried in the report JSON under \"model\".
 The `kernels` suite isolates the row-shuffle pass (Eq. 31) and pits the
 scalar incremental kernel against the run-blocked block8 kernel plus
 the `auto` runtime dispatch — the ablation behind IPT_KERNEL.
-The `aos` suite measures the skinny-matrix AoS<->SoA specialization
-(paper 6.1); `batched` measures many same-shape matrices per call
+The `aos` suite measures AoS<->SoA conversion: the parallel engine with
+the struct's fields as the view's row count (the paper 6.1 orientation);
+`batched` measures many same-shape matrices per call
 (16 per entry) through ipt_parallel::batched.
 
 Pairwise compare exits 0 when every entry of NEW is within PCT percent
@@ -615,10 +616,10 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
             ]
         }
         "aos" => vec![
-            // Shapes are (n_structs, fields); both directions of the §6.1
-            // skinny specialization. The content of the buffer doesn't
-            // affect the permutation's cost, so each direction can be
-            // timed standalone over refilled data.
+            // Shapes are (n_structs, fields); both directions of the
+            // engine in the §6.1 orientation. The content of the buffer
+            // doesn't affect the permutation's cost, so each direction
+            // can be timed standalone over refilled data.
             (
                 "aos_to_soa",
                 Box::new(|buf: &mut [u64], m, n| {

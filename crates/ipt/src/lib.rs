@@ -9,7 +9,7 @@
 //! | [`core`] | `ipt-core` | the algorithm: index math, C2R/R2C, sequential transpose |
 //! | [`parallel`] | `ipt-parallel` | thread-parallel (via `ipt-pool`) + cache-aware implementations |
 //! | [`pool`] | `ipt-pool` | the in-repo resident-worker thread pool and its [`pool::stats`] observability |
-//! | [`aos_soa`] | `ipt-aos-soa` | AoS ⇄ SoA conversion for skinny matrices |
+//! | [`aos_soa`] | `ipt-aos-soa` | AoS ⇄ SoA conversion, oriented as in §6.1 on the parallel engine |
 //! | [`baselines`] | `ipt-baselines` | cycle-following / Gustavson / Sung comparators |
 //! | [`warp`] | `warp-sim` | in-register SIMD transpose + coalesced AoS access |
 //! | [`mem`] | `memsim` | the cache-line transaction bandwidth model |

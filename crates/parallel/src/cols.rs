@@ -1,14 +1,12 @@
-//! Column-group schedulers (paper §5.1, §4.7).
+//! Column-group scheduler (paper §5.1, §4.7).
 //!
 //! Columns of a row-major matrix are independent under every column step
 //! of the algorithm, so the column passes split the columns into groups
 //! of `w` and process the groups in parallel. The engine's column passes
 //! are the §4.6–4.7 sub-row primitives in [`crate::cache_aware`]; this
-//! module holds the two schedulers beside them: the cycle-bundle row
-//! permute behind [`crate::cache_aware::row_permute`], and
-//! [`par_process_column_blocks`], the gather-transform-scatter building
-//! block for fused column operations. The sequential `ipt-core` path is
-//! the correctness reference for both.
+//! module holds the scheduler beside them: the cycle-bundle row permute
+//! behind [`crate::cache_aware::row_permute`]. The sequential `ipt-core`
+//! path is its correctness reference.
 //!
 //! Safety: each task touches only its own claimed cells; see
 //! `unsafe_slice` for the disjointness argument. Per-worker scratch is a
@@ -16,7 +14,6 @@
 //! reused across all the tasks that part owns, and retained by the
 //! worker's thread for the next pass.
 
-use crate::group_grain;
 use crate::recover;
 use crate::unsafe_slice::{CheckScope, UnsafeSlice};
 use ipt_core::cycles::{partition_bundles, CycleSet};
@@ -232,70 +229,6 @@ where
     )
 }
 
-/// Process disjoint column blocks of a row-major `m x n` matrix in
-/// parallel through worker-local copies — the safe building block for
-/// "on-chip" fused column operations (paper §6.1).
-///
-/// For each block of `w` columns starting at `j0`, the block's `m x gw`
-/// submatrix is gathered into a worker-local row-major buffer, `f(j0,
-/// block, gw, scratch)` transforms it in place (with an equally-sized
-/// reusable scratch buffer for out-of-place permutation steps), and the
-/// result is scattered back. Blocks partition the columns, so workers
-/// never overlap; the block and scratch buffers are created once per
-/// worker and reused across its blocks, so the steady state is
-/// allocation-free.
-pub fn par_process_column_blocks<T, F>(
-    data: &mut [T],
-    m: usize,
-    n: usize,
-    w: usize,
-    f: F,
-) -> Result<(), PoolError>
-where
-    T: Copy + Send + Sync,
-    F: Fn(usize, &mut [T], usize, &mut [T]) + Sync,
-{
-    assert_eq!(data.len(), m * n, "buffer length must be m * n");
-    if m == 0 || n == 0 {
-        return Ok(());
-    }
-    let fill = data[0];
-    let scope = CheckScope::new(data.len(), n, || {
-        format!("par_process_column_blocks (§6.1 fused blocks): m={m}, n={n}, block width w={w}")
-    });
-    let us = UnsafeSlice::new(data, &scope);
-    let groups = n.div_ceil(w);
-    // SAFETY (throughout): the worker owning group g touches only columns
-    // [g*w, g*w + gw).
-    ipt_pool::par_chunks_init(
-        0..groups,
-        group_grain(m * w),
-        || (vec![fill; m * w], vec![fill; m * w]),
-        |(block, scratch), sub| {
-            for g in sub {
-                faulty::maybe_panic("col_block", g);
-                let j0 = g * w;
-                let gw = w.min(n - j0);
-                us.claim_columns(g, j0, gw);
-                let block = &mut block[..m * gw];
-                for i in 0..m {
-                    for (k, slot) in block[i * gw..(i + 1) * gw].iter_mut().enumerate() {
-                        // SAFETY: column-ownership (see above).
-                        *slot = unsafe { us.get(i * n + j0 + k) };
-                    }
-                }
-                f(j0, block, gw, &mut scratch[..m * gw]);
-                for i in 0..m {
-                    for (k, &v) in block[i * gw..(i + 1) * gw].iter().enumerate() {
-                        // SAFETY: column-ownership, as above.
-                        unsafe { us.set(i * n + j0 + k, v) };
-                    }
-                }
-            }
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,51 +288,5 @@ mod tests {
             d.sched.bundles >= nb as u64,
             "{nb} bundles not recorded: {d:?}"
         );
-    }
-
-    #[test]
-    fn column_blocks_visit_every_column_once() {
-        crate::force_multithreaded_pool();
-        let (m, n) = (5usize, 17usize);
-        let mut a = vec![0u32; m * n];
-        fill_pattern(&mut a);
-        let orig = a.clone();
-        // Negate-and-tag each block column-locally; check global effect.
-        par_process_column_blocks(&mut a, m, n, 4, |j0, block, gw, _scratch| {
-            for i in 0..m {
-                for k in 0..gw {
-                    block[i * gw + k] += (j0 as u32 + k as u32) * 1000;
-                }
-            }
-        })
-        .unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                assert_eq!(a[i * n + j], orig[i * n + j] + j as u32 * 1000);
-            }
-        }
-    }
-
-    #[test]
-    fn column_blocks_can_permute_within_block() {
-        crate::force_multithreaded_pool();
-        // Reverse the rows of each block: a column-local operation.
-        let (m, n) = (4usize, 10usize);
-        let mut a = vec![0u16; m * n];
-        fill_pattern(&mut a);
-        let orig = a.clone();
-        par_process_column_blocks(&mut a, m, n, 3, |_, block, gw, _scratch| {
-            for i in 0..m / 2 {
-                for k in 0..gw {
-                    block.swap(i * gw + k, (m - 1 - i) * gw + k);
-                }
-            }
-        })
-        .unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                assert_eq!(a[i * n + j], orig[(m - 1 - i) * n + j]);
-            }
-        }
     }
 }

@@ -79,25 +79,6 @@ pub fn row_shuffle_parallel_with<T: Copy + Send + Sync>(
     )
 }
 
-/// Parallel row shuffle with the **scalar incremental** kernel:
-/// `scatter` selects the direction — the C2R shuffle scatters with `d'`
-/// (equivalent to gathering with `d'^-1`), the R2C shuffle gathers with
-/// `d'` directly (§4.3). Kept as the fixed-kernel entry point for tests
-/// and ablations; the dispatched paths are [`row_shuffle_parallel`] /
-/// [`row_shuffle_forward_parallel`].
-pub fn row_shuffle_incremental<T: Copy + Send + Sync>(
-    data: &mut [T],
-    p: &C2rParams,
-    scatter: bool,
-) -> Result<(), PoolError> {
-    let dir = if scatter {
-        ShuffleDirection::Inverse
-    } else {
-        ShuffleDirection::Forward
-    };
-    row_shuffle_parallel_with(data, p, RowShuffleKernel::Scalar, dir)
-}
-
 /// Parallel C2R row shuffle: row `i` becomes `row[j] = old[d'^-1_i(j)]`
 /// (Eq. 31), with the kernel chosen by [`kernels::select_with_tier`]
 /// (`IPT_KERNEL` override, else a loaded calibration profile, else the

@@ -148,6 +148,8 @@ fn batched_equals_loop() {
 
 #[test]
 fn incremental_row_shuffle_is_involutive_with_forward() {
+    use ipt_core::kernels::{RowShuffleKernel, ShuffleDirection::*};
+    use ipt_parallel::rows::row_shuffle_parallel_with;
     force_multithreaded_pool();
     let mut rng = Rng::new(0x9a11_0007);
     for case in 0..CASES {
@@ -156,8 +158,8 @@ fn incremental_row_shuffle_is_involutive_with_forward() {
         let mut a = vec![0u32; m * n];
         fill_pattern(&mut a);
         let orig = a.clone();
-        ipt_parallel::rows::row_shuffle_incremental(&mut a, &p, true).unwrap();
-        ipt_parallel::rows::row_shuffle_incremental(&mut a, &p, false).unwrap();
+        row_shuffle_parallel_with(&mut a, &p, RowShuffleKernel::Scalar, Inverse).unwrap();
+        row_shuffle_parallel_with(&mut a, &p, RowShuffleKernel::Scalar, Forward).unwrap();
         assert_eq!(a, orig, "case {case}: {m}x{n}");
     }
 }

@@ -222,7 +222,7 @@ main_pipeline() {
     # samples, so every suite finishes in seconds. The kernels gate defends
     # the kernel family's headline property — the run-blocked kernel's
     # multiple-x win over scalar on large-gcd shapes; the aos/batched gates
-    # defend the §6.1 skinny specialization and the shared-params batched
+    # defend the AoS<->SoA conversions and the shared-params batched
     # path. Losing any of those shows up as a 50%+ median drop; machine
     # noise on a busy single-core box measures up to ~30% run-to-run. Hence
     # a generous threshold plus one retry: noise must strike the same way

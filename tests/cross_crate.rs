@@ -2,7 +2,7 @@
 //! workspace must agree with every other on the same inputs.
 //!
 //! The implementations cover four crates (core sequential, the parallel
-//! engine, the skinny AoS specialization, the three
+//! engine, the AoS ⇄ SoA conversions, the three
 //! baselines and the warp-sim in-register version), which share only the
 //! paper's math — agreement across them is strong evidence each transcribed
 //! it correctly.
@@ -74,12 +74,12 @@ fn implementations() -> Vec<(&'static str, Impl)> {
             }),
         ),
         (
-            "aos-soa skinny c2r",
-            Box::new(|d: &mut Vec<u64>, m, n| ipt_aos_soa::transpose_skinny_c2r(d, m, n).unwrap()),
+            "aos_to_soa (m structs of n fields)",
+            Box::new(|d: &mut Vec<u64>, m, n| ipt_aos_soa::aos_to_soa(d, m, n).unwrap()),
         ),
         (
-            "aos-soa skinny r2c (swapped dims)",
-            Box::new(|d: &mut Vec<u64>, m, n| ipt_aos_soa::transpose_skinny_r2c(d, n, m).unwrap()),
+            "soa_to_aos (n structs of m fields)",
+            Box::new(|d: &mut Vec<u64>, m, n| ipt_aos_soa::soa_to_aos(d, n, m).unwrap()),
         ),
         (
             "baseline cycle-following",
@@ -193,6 +193,6 @@ fn mixed_sequence_of_implementations_composes() {
     assert_eq!(data, orig, "gustavson then parallel r2c");
 
     transpose_cycle_following(&mut data, m, n);
-    ipt_aos_soa::transpose_skinny_r2c(&mut data, m, n).unwrap();
-    assert_eq!(data, orig, "cycle-following then skinny r2c");
+    ipt_aos_soa::aos_to_soa(&mut data, n, m).unwrap();
+    assert_eq!(data, orig, "cycle-following then aos_to_soa");
 }

@@ -466,6 +466,44 @@ fn armed_retry_recovers_injected_skews_in_checked_mode() {
 }
 
 #[test]
+fn armed_retry_recovers_aos_soa_panics() {
+    let _guard = setup();
+    let _forced = Forced::new(FaultMode::Panic(0.05));
+    let _armed = Armed::new(2);
+    // The AoS <-> SoA conversions run on the engine, so they inherit its
+    // recovery: both directions must complete with Ok and byte-identical
+    // output. (structs, fields): 40009 x 6 is coprime, 40960 x 8 has
+    // gcd 8 and runs the rotation pass too.
+    let mut injected = 0u64;
+    let before = stats::snapshot();
+    for threads in [1usize, 2, 4] {
+        set_num_threads(threads);
+        for (n, s) in [(40_009usize, 6usize), (40_960, 8)] {
+            let aos: Vec<u64> = (0..(n * s) as u64).collect();
+            let soa = reference_transpose(&aos, n, s, Layout::RowMajor);
+            let mut a = aos.clone();
+            let (p0, _, _) = faulty::injection_counts();
+            let to_soa = ipt::aos_soa::aos_to_soa(&mut a, n, s);
+            assert!(
+                to_soa.is_ok(),
+                "threads={threads} {n}x{s}: aos_to_soa aborted: {to_soa:?}"
+            );
+            assert_eq!(a, soa, "threads={threads} {n}x{s}: aos_to_soa output");
+            let to_aos = ipt::aos_soa::soa_to_aos(&mut a, n, s);
+            assert!(
+                to_aos.is_ok(),
+                "threads={threads} {n}x{s}: soa_to_aos aborted: {to_aos:?}"
+            );
+            assert_eq!(a, aos, "threads={threads} {n}x{s}: soa_to_aos output");
+            injected += faulty::injection_counts().0 - p0;
+        }
+    }
+    assert!(injected > 0, "the armed aos sweep never injected a panic");
+    let d = stats::snapshot().delta_since(&before);
+    assert!(d.recovered > 0, "faults but no recovered ops: {d:?}");
+}
+
+#[test]
 fn armed_retry_recovers_batched_panics() {
     let _guard = setup();
     let _forced = Forced::new(FaultMode::Panic(0.5));

@@ -31,8 +31,8 @@ fn random_shapes_random_data_all_engines() {
         assert_eq!(c, want, "sung {m}x{n} round {round}");
 
         let mut d = input.clone();
-        ipt_aos_soa::transpose_skinny_c2r(&mut d, m, n).unwrap();
-        assert_eq!(d, want, "skinny {m}x{n} round {round}");
+        ipt_aos_soa::soa_to_aos(&mut d, n, m).unwrap();
+        assert_eq!(d, want, "soa_to_aos {m}x{n} round {round}");
     }
 }
 

@@ -124,10 +124,12 @@ fn model_predicts_doubles_beat_floats_for_c2r() {
 // ---- Figure 7 mechanism ---------------------------------------------------
 
 #[test]
-fn skinny_kernel_skips_a_pass_when_coprime() {
-    // The specialization's pass count: 2 when gcd(fields, count) == 1,
-    // 3 otherwise. Observable via correctness across both regimes and the
-    // rotation-amount function being identically zero when coprime.
+fn coprime_aos_shapes_need_no_rotation_pass() {
+    // An AoS conversion runs two passes over memory when gcd(fields,
+    // count) == 1 and three otherwise: the engine skips the pre/post
+    // rotation exactly when `C2rParams::coprime()` holds. Pin that
+    // predicate on a Figure 7 shape (8 fields) in both regimes, and that
+    // the gcd > 1 rotation is not secretly a no-op.
     let p = ipt_core::C2rParams::new(8, 989); // gcd = 1
     assert!(p.coprime());
     let p = ipt_core::C2rParams::new(8, 992); // gcd = 8

@@ -51,8 +51,8 @@ fn soak_every_engine_thousands_of_shapes() {
         assert_eq!(a, want, "noncopy {m}x{n} round {round}");
 
         let mut a = input.clone();
-        ipt_aos_soa::transpose_skinny_c2r(&mut a, m, n).unwrap();
-        assert_eq!(a, want, "skinny {m}x{n} round {round}");
+        ipt_aos_soa::soa_to_aos(&mut a, n, m).unwrap();
+        assert_eq!(a, want, "soa_to_aos {m}x{n} round {round}");
 
         if round % 4 == 0 {
             let mut a = input.clone();
