@@ -488,6 +488,7 @@ mod tests {
             threads,
             dispatch_tier: "static".to_string(),
             calibration: "none".to_string(),
+            fault_inject: false,
             entries: medians.iter().map(|&(a, x)| entry(a, x)).collect(),
         }
     }

@@ -384,6 +384,11 @@ pub struct BenchReport {
     /// `"none"` when no profile was loaded — so bench history can tell
     /// calibrated runs apart, and apart from each other.
     pub calibration: String,
+    /// Whether the binary that ran the suite was built with the
+    /// `fault-inject` feature. Its injection sites slow every parallel
+    /// entry, so such a run is not comparable with a normal build.
+    /// Reports written before this field existed load as `false`.
+    pub fault_inject: bool,
     /// One entry per measured (algorithm, shape) pair.
     pub entries: Vec<BenchEntry>,
 }
@@ -397,6 +402,7 @@ impl BenchReport {
             ("threads", Json::Num(self.threads as f64)),
             ("dispatch_tier", Json::Str(self.dispatch_tier.clone())),
             ("calibration", Json::Str(self.calibration.clone())),
+            ("fault_inject", Json::Bool(self.fault_inject)),
             (
                 "entries",
                 Json::Arr(self.entries.iter().map(BenchEntry::to_json).collect()),
@@ -433,6 +439,10 @@ impl BenchReport {
                 .and_then(Json::as_str)
                 .unwrap_or("none")
                 .to_string(),
+            fault_inject: v
+                .get("fault_inject")
+                .and_then(Json::as_bool)
+                .unwrap_or(false),
             entries: v
                 .get("entries")
                 .and_then(Json::as_arr)
@@ -463,7 +473,8 @@ impl BenchReport {
     /// differ (a 4-thread run gated against a 1-core baseline reports
     /// bogus regressions/improvements), or when exactly one of the two
     /// ran under a forced `IPT_KERNEL` override (`dispatch_tier ==
-    /// "override"`). A `"calibrated"` vs `"static"` difference is *not* a
+    /// "override"`), or when exactly one came from a `fault-inject`
+    /// build. A `"calibrated"` vs `"static"` difference is *not* a
     /// mismatch — both mean the dispatcher chose, and CI deliberately
     /// gates calibrated runs against static baselines.
     pub fn stamp_mismatch(&self, new: &BenchReport) -> Option<String> {
@@ -480,6 +491,15 @@ impl BenchReport {
                 "environment stamps disagree: baseline dispatch tier {:?}, \
                  candidate {:?} (an IPT_KERNEL override on one side skews every entry)",
                 self.dispatch_tier, new.dispatch_tier
+            ));
+        }
+        if self.fault_inject != new.fault_inject {
+            let build = |f: bool| if f { "fault-inject" } else { "normal" };
+            return Some(format!(
+                "environment stamps disagree: baseline from a {} build, candidate from a {} \
+                 build (fault-injection sites slow every parallel entry)",
+                build(self.fault_inject),
+                build(new.fault_inject)
             ));
         }
         None
@@ -726,6 +746,7 @@ mod tests {
             threads: 4,
             dispatch_tier: "static".to_string(),
             calibration: "none".to_string(),
+            fault_inject: false,
             entries,
         }
     }
@@ -756,6 +777,7 @@ mod tests {
             "\"threads\"",
             "\"dispatch_tier\"",
             "\"calibration\"",
+            "\"fault_inject\"",
             "\"entries\"",
             "\"algorithm\"",
             "\"m\"",
@@ -898,6 +920,28 @@ mod tests {
     }
 
     #[test]
+    fn compare_skips_on_fault_inject_build_asymmetry() {
+        let old = report(vec![entry("c2r", 8, 8, 10.0)]);
+        let mut new = report(vec![entry("c2r", 8, 8, 0.1)]);
+        new.fault_inject = true;
+        let back = BenchReport::from_json(&Json::parse(&new.to_json().render()).unwrap()).unwrap();
+        assert!(back.fault_inject, "the stamp round-trips");
+        let cmp = compare(&old, &new, 10.0);
+        let reason = cmp
+            .skipped
+            .as_deref()
+            .expect("a fault-inject build against a normal one must skip");
+        assert!(reason.contains("fault-inject"), "{reason}");
+        assert_eq!(cmp.regressions(), 0);
+        // Two fault-inject builds gate each other as usual.
+        let mut old2 = report(vec![entry("c2r", 8, 8, 10.0)]);
+        old2.fault_inject = true;
+        let cmp = compare(&old2, &new, 10.0);
+        assert!(cmp.skipped.is_none());
+        assert_eq!(cmp.regressions(), 1);
+    }
+
+    #[test]
     fn calibrated_vs_static_is_still_comparable() {
         // CI deliberately gates calibrated smoke runs against static
         // committed baselines — that pairing must never skip.
@@ -938,6 +982,7 @@ mod tests {
         let r = BenchReport::from_json(&doc).unwrap();
         assert_eq!(r.dispatch_tier, "static");
         assert_eq!(r.calibration, "none");
+        assert!(!r.fault_inject);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use std::process::ExitCode;
 use std::sync::OnceLock;
 
+use crate::abort_exit;
 use ipt_bench::harness;
 use ipt_bench::history;
 use ipt_bench::report::{compare, BenchEntry, BenchReport, PhaseBreak, RecoveryBreak, SchedBreak};
@@ -485,15 +486,6 @@ fn run_trend_compare(new_path: &str, dir: &str, threshold: f64, window: usize) -
 /// A boxed benchmark body: `(buf, m, n)` runs one timed pass in place.
 type AlgRunner = Box<dyn FnMut(&mut [u64], usize, usize)>;
 
-/// A worker panic (real or injected via `IPT_FAULT`) leaves the matrix
-/// torn, so no further timing over that buffer is meaningful. Report the
-/// structured abort and exit with a dedicated code so CI can tell a
-/// contained abort (4) from a crash (SIGSEGV/101).
-fn abort_exit(e: ipt_parallel::TransposeAborted) -> ! {
-    eprintln!("ipt bench: {e}");
-    std::process::exit(4);
-}
-
 fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
     // The transpose and kernels suites measure single-threaded
     // algorithms, so they pin the pool to one worker unless --threads
@@ -718,6 +710,7 @@ fn run_suite(suite: &str, opts: &BenchOpts) -> Result<BenchReport, String> {
         calibration: kernels::calibrate::loaded()
             .map(|p| p.hash())
             .unwrap_or_else(|| "none".to_string()),
+        fault_inject: cfg!(feature = "fault-inject"),
         entries,
     })
 }

@@ -3,7 +3,12 @@
 //! Operates on raw binary matrix files (elements of any fixed size,
 //! little-endian or opaque), using the PPoPP 2014 decomposed in-place
 //! algorithm so the working set is the file buffer plus `O(max(m, n))`
-//! bookkeeping.
+//! bookkeeping per worker. `transpose`, `aos2soa` and `soa2aos` run
+//! [`ipt_parallel::transpose_bytes`]: element sizes 1, 2, 4, 8 and 16 on
+//! the parallel engine, every other size on the sequential
+//! `ipt_core::erased` path. Shapes are checked against the file's size
+//! before it is read (exit 2); a contained worker fault exits 4 and
+//! writes nothing.
 //!
 //! ```text
 //! ipt transpose  FILE --rows R --cols C --elem-size S [--layout row|col] [--out PATH]
@@ -31,8 +36,9 @@ mod model;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use ipt_core::error::try_transpose_erased;
-use ipt_core::Layout;
+use ipt_core::error::{validate_erased, TransposeError};
+use ipt_core::{Algorithm, Layout};
+use ipt_parallel::{transpose_bytes, TransposeAborted};
 
 const USAGE: &str = "\
 ipt — in-place matrix transposition (PPoPP 2014 decomposition)
@@ -68,9 +74,9 @@ EXIT CODES:
   0  success
   2  usage error (unknown flag, missing argument, bad file)
   3  bench regression gate failed (--compare / --history)
-  4  parallel transpose aborted: a worker fault was contained and
-     recovery was off (IPT_RETRY, default 0) or its sequential redo
-     failed too
+  4  parallel transpose aborted (bench, transpose, aos2soa, soa2aos):
+     a worker fault was contained and recovery was off (IPT_RETRY,
+     default 0) or its sequential redo failed too; no file is written
   5  hang watchdog fired: a task exceeded IPT_WATCHDOG_MS and the
      process exited rather than wedge";
 
@@ -163,9 +169,10 @@ fn run(args: &[String]) -> Result<String, String> {
                 "col" => Layout::ColMajor,
                 other => return Err(format!("--layout must be row or col, got {other}")),
             };
-            let mut data = read_sized(file, rows * cols * elem)?;
+            let mut data = read_matrix(file, rows, cols, elem)?;
             let t = std::time::Instant::now();
-            try_transpose_erased(&mut data, rows, cols, elem, layout).map_err(|e| e.to_string())?;
+            transpose_bytes(&mut data, rows, cols, elem, layout, Algorithm::Auto)
+                .unwrap_or_else(|e| abort_exit(e));
             let dt = t.elapsed();
             let out = opts.opt("out").unwrap_or(file);
             std::fs::write(out, &data).map_err(|e| format!("writing {out}: {e}"))?;
@@ -179,14 +186,18 @@ fn run(args: &[String]) -> Result<String, String> {
             let n = opts.usize("structs")?;
             let k = opts.usize("fields")?;
             let elem = opts.usize("elem-size")?;
-            let mut data = read_sized(file, n * k * elem)?;
-            // AoS = N x K row-major; SoA = its transpose.
+            let mut data = read_matrix(file, n, k, elem)?;
+            // AoS = N x K row-major; SoA = its transpose. Forcing R2C
+            // one way and C2R the other runs `r2c_parallel(data, k, n)` /
+            // `c2r_parallel(data, k, n)`, exactly what
+            // `ipt_aos_soa::aos_to_soa` / `soa_to_aos` run: the column
+            // passes go down the K-element short columns (paper §6.1).
             if cmd == "aos2soa" {
-                try_transpose_erased(&mut data, n, k, elem, Layout::RowMajor)
+                transpose_bytes(&mut data, n, k, elem, Layout::RowMajor, Algorithm::R2c)
             } else {
-                try_transpose_erased(&mut data, k, n, elem, Layout::RowMajor)
+                transpose_bytes(&mut data, k, n, elem, Layout::RowMajor, Algorithm::C2r)
             }
-            .map_err(|e| e.to_string())?;
+            .unwrap_or_else(|e| abort_exit(e));
             let out = opts.opt("out").unwrap_or(file);
             std::fs::write(out, &data).map_err(|e| format!("writing {out}: {e}"))?;
             Ok(format!("{cmd}: {n} structs x {k} fields -> {out}"))
@@ -196,7 +207,11 @@ fn run(args: &[String]) -> Result<String, String> {
             let cols = opts.usize("cols")?;
             let elem = opts.usize("elem-size")?;
             let seed = opts.usize_or("seed", 0)? as u64;
-            let mut data = vec![0u8; rows * cols * elem];
+            let bytes = rows
+                .checked_mul(cols)
+                .and_then(|e| e.checked_mul(elem))
+                .ok_or_else(|| TransposeError::Overflow.to_string())?;
+            let mut data = vec![0u8; bytes];
             fill_pattern(&mut data, elem, seed);
             std::fs::write(file, &data).map_err(|e| format!("writing {file}: {e}"))?;
             Ok(format!(
@@ -212,7 +227,7 @@ fn run(args: &[String]) -> Result<String, String> {
             // The file should hold the transpose of a `rows x cols`
             // pattern: a cols x rows matrix whose (i, j) element is
             // pattern element j*cols + i.
-            let data = read_sized(file, rows * cols * elem)?;
+            let data = read_matrix(file, rows, cols, elem)?;
             for i in 0..cols {
                 for j in 0..rows {
                     let want = elem_pattern(j * cols + i, elem, seed);
@@ -263,13 +278,33 @@ fn run(args: &[String]) -> Result<String, String> {
     }
 }
 
-fn read_sized(path: &str, want: usize) -> Result<Vec<u8>, String> {
+/// A worker panic (real or injected via `IPT_FAULT`) leaves the matrix
+/// torn, so nothing more is done with it: no file is written and no
+/// further timing runs over the buffer. Report the structured abort and
+/// exit with a dedicated code so scripts can tell a contained abort (4)
+/// from a crash (SIGSEGV/101).
+pub(crate) fn abort_exit(e: TransposeAborted) -> ! {
+    eprintln!("ipt: {e}");
+    std::process::exit(4);
+}
+
+/// Read a file holding `rows x cols` elements of `elem` bytes. The shape
+/// is checked against the file's size before any byte is read, so a
+/// zero or overflowing shape is a usage error with the
+/// [`TransposeError`] text rather than a wrapped length.
+fn read_matrix(path: &str, rows: usize, cols: usize, elem: usize) -> Result<Vec<u8>, String> {
+    let mismatch = |expected: usize, actual: usize| {
+        format!("{path}: expected {expected} bytes for the given shape, found {actual}")
+    };
+    let meta = std::fs::metadata(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let len = usize::try_from(meta.len()).unwrap_or(usize::MAX);
+    let want = validate_erased(len, rows, cols, elem).map_err(|e| match e {
+        TransposeError::ShapeMismatch { expected, actual } => mismatch(expected, actual),
+        other => other.to_string(),
+    })?;
     let data = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
     if data.len() != want {
-        return Err(format!(
-            "{path}: expected {want} bytes for the given shape, found {}",
-            data.len()
-        ));
+        return Err(mismatch(want, data.len()));
     }
     Ok(data)
 }

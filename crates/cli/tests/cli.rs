@@ -1,5 +1,7 @@
 //! End-to-end tests of the `ipt` CLI binary: gen → transpose → verify
-//! pipelines over temp files, exercising the type-erased in-place path.
+//! pipelines over temp files, through `ipt_parallel::transpose_bytes`
+//! (the parallel engine for its table sizes, `ipt_core::erased` for the
+//! rest).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -27,39 +29,126 @@ fn assert_ok(out: &Output) {
     );
 }
 
+/// Element sizes the file tests sweep: every size `transpose_bytes` runs
+/// on the parallel engine, plus 3 and 12, which take the erased path.
+const ELEM_SIZES: [usize; 7] = [1, 2, 3, 4, 8, 12, 16];
+
+/// Shapes the file tests sweep. At 256 x 300 every phase spreads across
+/// the two-worker pool the tests ask for.
+const FILE_SHAPES: [(usize, usize); 2] = [(37, 53), (256, 300)];
+
+/// Run the binary on a two-worker pool and require success.
+fn ipt_ok(args: &[String]) {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    assert_ok(&ipt_env(&args, &[("IPT_THREADS", "2")]));
+}
+
+/// `cmd FILE --rows R --cols C --elem-size S` plus `extra` flags.
+fn shape_args(
+    cmd: &str,
+    file: &str,
+    r: usize,
+    c: usize,
+    elem: usize,
+    extra: &[&str],
+) -> Vec<String> {
+    let (r, c, e) = (r.to_string(), c.to_string(), elem.to_string());
+    [cmd, file, "--rows", &r, "--cols", &c, "--elem-size", &e]
+        .iter()
+        .chain(extra)
+        .map(|s| s.to_string())
+        .collect()
+}
+
+/// `gen` → `transpose` → `verify` for every element size and both
+/// layouts.
 #[test]
 fn gen_transpose_verify_round_trip() {
-    let f = tmpfile("roundtrip.bin");
-    assert_ok(&ipt(&[
-        "gen",
-        &f,
-        "--rows",
-        "37",
-        "--cols",
-        "53",
-        "--elem-size",
-        "8",
-    ]));
-    assert_ok(&ipt(&[
+    for elem in ELEM_SIZES {
+        for (r, c) in FILE_SHAPES {
+            let f = tmpfile(&format!("roundtrip-{elem}-{r}x{c}.bin"));
+            // A column-major r x c buffer holds the row-major c x r
+            // pattern; its transpose is that pattern's row-major one.
+            for (layout, (pr, pc)) in [("row", (r, c)), ("col", (c, r))] {
+                ipt_ok(&shape_args("gen", &f, pr, pc, elem, &[]));
+                ipt_ok(&shape_args(
+                    "transpose",
+                    &f,
+                    r,
+                    c,
+                    elem,
+                    &["--layout", layout],
+                ));
+                ipt_ok(&shape_args("verify", &f, pr, pc, elem, &[]));
+            }
+        }
+    }
+}
+
+/// `aos2soa` → `verify` → `soa2aos` for every element size.
+#[test]
+fn aos_soa_round_trip() {
+    for elem in ELEM_SIZES {
+        for (structs, fields) in FILE_SHAPES {
+            let f = tmpfile(&format!("aos-{elem}-{structs}x{fields}.bin"));
+            ipt_ok(&shape_args("gen", &f, structs, fields, elem, &[]));
+            let orig = std::fs::read(&f).unwrap();
+            let conv = |cmd: &str| {
+                let (n, k) = (structs.to_string(), fields.to_string());
+                let e = elem.to_string();
+                let args = [cmd, &f, "--structs", &n, "--fields", &k, "--elem-size", &e];
+                assert_ok(&ipt_env(&args, &[("IPT_THREADS", "2")]));
+            };
+            conv("aos2soa");
+            // SoA is the transpose of the structs x fields AoS pattern.
+            ipt_ok(&shape_args("verify", &f, structs, fields, elem, &[]));
+            conv("soa2aos");
+            assert!(
+                std::fs::read(&f).unwrap() == orig,
+                "elem={elem} {structs}x{fields}: soa2aos must invert aos2soa"
+            );
+        }
+    }
+}
+
+/// perfbench reads the transpose time from the text after the first
+/// `" in "` of this line; its format is part of the CLI's interface.
+#[test]
+fn transpose_prints_a_parseable_timing_line() {
+    let f = tmpfile("timing.bin");
+    ipt_ok(&shape_args("gen", &f, 40, 24, 8, &[]));
+    let out = ipt(&[
         "transpose",
         &f,
         "--rows",
-        "37",
+        "40",
         "--cols",
-        "53",
+        "24",
         "--elem-size",
         "8",
-    ]));
-    assert_ok(&ipt(&[
-        "verify",
-        &f,
-        "--rows",
-        "37",
-        "--cols",
-        "53",
-        "--elem-size",
-        "8",
-    ]));
+    ]);
+    assert_ok(&out);
+    let line = String::from_utf8(out.stdout).unwrap();
+    let line = line.trim_end();
+    let rest = line
+        .strip_prefix("transposed 40 x 24 (8 bytes/elem) in ")
+        .unwrap_or_else(|| panic!("unexpected prefix: {line:?}"));
+    assert_eq!(line.split(" in ").nth(1), Some(rest));
+    let (duration, rest) = rest.split_once(" (").expect("a rate after the duration");
+    let split = duration
+        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .expect("a unit after the number");
+    let (value, unit) = duration.split_at(split);
+    assert!(value.parse::<f64>().is_ok(), "{duration:?} in {line:?}");
+    assert!(
+        ["s", "ms", "µs", "us", "ns"].contains(&unit),
+        "{duration:?} in {line:?}"
+    );
+    let (rate, out_path) = rest
+        .split_once(" GB/s) -> ")
+        .expect("GB/s and the output path");
+    assert!(rate.parse::<f64>().is_ok(), "{rate:?} in {line:?}");
+    assert_eq!(out_path, f);
 }
 
 #[test]
@@ -172,49 +261,6 @@ fn double_transpose_is_identity() {
 }
 
 #[test]
-fn aos_soa_round_trip() {
-    let f = tmpfile("aos.bin");
-    assert_ok(&ipt(&[
-        "gen",
-        &f,
-        "--rows",
-        "100",
-        "--cols",
-        "7",
-        "--elem-size",
-        "4",
-    ]));
-    let orig = std::fs::read(&f).unwrap();
-    assert_ok(&ipt(&[
-        "aos2soa",
-        &f,
-        "--structs",
-        "100",
-        "--fields",
-        "7",
-        "--elem-size",
-        "4",
-    ]));
-    let soa = std::fs::read(&f).unwrap();
-    // Field k of struct i moved from (i*7 + k) to (k*100 + i).
-    assert_eq!(
-        &soa[(3 * 100 + 5) * 4..(3 * 100 + 5) * 4 + 4],
-        &orig[(5 * 7 + 3) * 4..(5 * 7 + 3) * 4 + 4]
-    );
-    assert_ok(&ipt(&[
-        "soa2aos",
-        &f,
-        "--structs",
-        "100",
-        "--fields",
-        "7",
-        "--elem-size",
-        "4",
-    ]));
-    assert_eq!(std::fs::read(&f).unwrap(), orig);
-}
-
-#[test]
 fn col_major_layout_flag() {
     let f = tmpfile("colmajor.bin");
     assert_ok(&ipt(&[
@@ -299,6 +345,71 @@ fn bad_usage_fails_cleanly() {
             "{args:?} should explain itself"
         );
     }
+    // Zero, overflowing and mismatched shapes are usage errors with the
+    // `TransposeError` text, caught before the file is read, for every
+    // command that reads a matrix.
+    let f = tmpfile("usage.bin");
+    std::fs::write(&f, vec![0u8; 24]).unwrap();
+    let huge = usize::MAX.to_string();
+    let zero = "dimensions and element size must be nonzero";
+    let overflow = "matrix dimensions overflow the index range";
+    let mismatch = "expected 48 bytes for the given shape, found 24";
+    for cmd in ["transpose", "verify"] {
+        for (rows, cols, elem, want) in [
+            ("0", "4", "2", zero),
+            ("3", "4", "0", zero),
+            (huge.as_str(), "3", "8", overflow),
+            ("4", "3", "4", mismatch),
+        ] {
+            let out = ipt(&[cmd, &f, "--rows", rows, "--cols", cols, "--elem-size", elem]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{cmd} {rows}x{cols}x{elem}: {err}"
+            );
+            assert!(err.contains(want), "{cmd} {rows}x{cols}x{elem}: {err}");
+        }
+    }
+    for cmd in ["aos2soa", "soa2aos"] {
+        for (structs, fields, elem, want) in [
+            ("0", "4", "2", zero),
+            (huge.as_str(), "2", "2", overflow),
+            ("4", "3", "4", mismatch),
+        ] {
+            let args = [
+                cmd,
+                &f,
+                "--structs",
+                structs,
+                "--fields",
+                fields,
+                "--elem-size",
+                elem,
+            ];
+            let out = ipt(&args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+            assert!(err.contains(want), "{args:?}: {err}");
+        }
+    }
+    assert_eq!(
+        std::fs::read(&f).unwrap(),
+        vec![0u8; 24],
+        "rejected calls write nothing"
+    );
+    let out = ipt(&[
+        "gen",
+        &f,
+        "--rows",
+        &huge,
+        "--cols",
+        "3",
+        "--elem-size",
+        "8",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains(overflow));
 }
 
 #[test]
@@ -467,6 +578,7 @@ fn bench_compare_flags_injected_regression() {
         threads: 1,
         dispatch_tier: "static".to_string(),
         calibration: "none".to_string(),
+        fault_inject: false,
         entries: vec![entry(median)],
     };
     let old = tmpfile("BENCH_old.json");
@@ -509,6 +621,7 @@ fn bench_compare_skips_on_mismatched_environment_stamps() {
         threads,
         dispatch_tier: "static".to_string(),
         calibration: "none".to_string(),
+        fault_inject: false,
         entries: vec![entry(median)],
     };
     let old = tmpfile("BENCH_stamp_old.json");
@@ -648,6 +761,7 @@ fn bench_compare_zero_baseline_cannot_mask_regression() {
         threads: 1,
         dispatch_tier: "static".to_string(),
         calibration: "none".to_string(),
+        fault_inject: false,
         entries: vec![entry(0.0)],
     }
     .save(&old)
@@ -657,6 +771,7 @@ fn bench_compare_zero_baseline_cannot_mask_regression() {
         threads: 1,
         dispatch_tier: "static".to_string(),
         calibration: "none".to_string(),
+        fault_inject: false,
         entries: vec![entry(0.001)],
     }
     .save(&new)
@@ -690,6 +805,7 @@ fn bench_compare_surfaces_one_sided_entries() {
         threads: 1,
         dispatch_tier: "static".to_string(),
         calibration: "none".to_string(),
+        fault_inject: false,
         entries: algs.iter().map(|a| entry(a)).collect(),
     };
     let old = tmpfile("BENCH_sided_old.json");
@@ -784,6 +900,7 @@ fn bench_trend_gate_flags_creeping_regression() {
         threads: 1,
         dispatch_tier: "static".to_string(),
         calibration: "none".to_string(),
+        fault_inject: false,
         entries: vec![entry(median)],
     };
     let dir = tmpfile("hist_creeping");
@@ -833,6 +950,7 @@ fn bench_trend_compare_needs_existing_history() {
         threads: 1,
         dispatch_tier: "static".to_string(),
         calibration: "none".to_string(),
+        fault_inject: false,
         entries: Vec::new(),
     }
     .save(&newest)

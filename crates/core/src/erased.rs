@@ -5,7 +5,9 @@
 //! byte buffer whose logical elements are `elem_size`-byte chunks, using
 //! the swap-only formulation of [`crate::noncopy`] — no `T`, no
 //! transmutes, no alignment requirements, `O(max(m, n))` bytes of cycle
-//! marks as auxiliary space.
+//! marks as auxiliary space. It is sequential; `ipt-parallel`'s
+//! `transpose_bytes` runs element sizes 1, 2, 4, 8 and 16 on the parallel
+//! engine instead and falls back to this module for every other size.
 //!
 //! ```
 //! use ipt_core::erased::transpose_erased;

@@ -112,7 +112,48 @@ pub fn try_r2c<T: Copy>(
     Ok(())
 }
 
-/// Fallible [`crate::erased::transpose_erased`].
+/// Check a type-erased request, `rows x cols` elements of `elem_size`
+/// bytes in a buffer of `len` bytes, and return its byte count.
+///
+/// Zero sizes are [`TransposeError::Degenerate`], a byte count past
+/// `usize` is [`TransposeError::Overflow`], and a `len` that differs
+/// from the byte count is a [`TransposeError::ShapeMismatch`] in bytes.
+/// Callers that hold only a length, such as a file size, can validate a
+/// shape before they read or allocate anything.
+///
+/// ```
+/// use ipt_core::error::{validate_erased, TransposeError};
+///
+/// assert_eq!(validate_erased(24, 3, 4, 2), Ok(24));
+/// assert_eq!(validate_erased(24, usize::MAX, 4, 2), Err(TransposeError::Overflow));
+/// ```
+pub fn validate_erased(
+    len: usize,
+    rows: usize,
+    cols: usize,
+    elem_size: usize,
+) -> Result<usize, TransposeError> {
+    if elem_size == 0 {
+        return Err(TransposeError::Degenerate);
+    }
+    let bytes = rows
+        .checked_mul(cols)
+        .and_then(|e| e.checked_mul(elem_size))
+        .ok_or(TransposeError::Overflow)?;
+    if rows == 0 || cols == 0 {
+        return Err(TransposeError::Degenerate);
+    }
+    if len != bytes {
+        return Err(TransposeError::ShapeMismatch {
+            expected: bytes,
+            actual: len,
+        });
+    }
+    Ok(bytes)
+}
+
+/// Fallible [`crate::erased::transpose_erased`]: [`validate_erased`],
+/// then transpose.
 pub fn try_transpose_erased(
     data: &mut [u8],
     rows: usize,
@@ -120,22 +161,7 @@ pub fn try_transpose_erased(
     elem_size: usize,
     layout: Layout,
 ) -> Result<(), TransposeError> {
-    if elem_size == 0 {
-        return Err(TransposeError::Degenerate);
-    }
-    let elems = rows
-        .checked_mul(cols)
-        .and_then(|e| e.checked_mul(elem_size))
-        .ok_or(TransposeError::Overflow)?;
-    if rows == 0 || cols == 0 {
-        return Err(TransposeError::Degenerate);
-    }
-    if data.len() != elems {
-        return Err(TransposeError::ShapeMismatch {
-            expected: elems,
-            actual: data.len(),
-        });
-    }
+    validate_erased(data.len(), rows, cols, elem_size)?;
     crate::erased::transpose_erased(data, rows, cols, elem_size, layout);
     Ok(())
 }
@@ -204,6 +230,28 @@ mod tests {
         try_r2c(&mut a, 6, 9, &mut s).unwrap();
         assert_eq!(a, orig);
         assert!(try_c2r(&mut a, 5, 9, &mut s).is_err());
+    }
+
+    #[test]
+    fn validate_erased_counts_bytes_and_rejects_bad_shapes() {
+        assert_eq!(validate_erased(3 * 5 * 12, 3, 5, 12), Ok(180));
+        assert_eq!(
+            validate_erased(179, 3, 5, 12),
+            Err(TransposeError::ShapeMismatch {
+                expected: 180,
+                actual: 179
+            })
+        );
+        assert_eq!(
+            validate_erased(0, 0, 5, 12),
+            Err(TransposeError::Degenerate)
+        );
+        assert_eq!(validate_erased(0, 3, 5, 0), Err(TransposeError::Degenerate));
+        // rows * cols fits, the byte count does not.
+        assert_eq!(
+            validate_erased(0, usize::MAX / 2, 2, 2),
+            Err(TransposeError::Overflow)
+        );
     }
 
     #[test]

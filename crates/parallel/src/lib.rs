@@ -18,7 +18,10 @@
 //!   factors of the fused column shuffle in a single strided pass), which
 //!   turn strided column traffic into cache-line-sized sub-row traffic;
 //! * per-thread scratch buffers, the CPU analogue of the §4.5 "on-chip"
-//!   row shuffle (each worker's temporary row lives in its own cache).
+//!   row shuffle (each worker's temporary row lives in its own cache);
+//! * [`transpose_bytes`] — byte buffers of a known element size (files,
+//!   FFI): sizes 1, 2, 4, 8 and 16 run on the engine above, viewed in
+//!   place as `[u8; N]`; other sizes run `ipt_core::erased`.
 //!
 //! Work stays `O(mn)` and auxiliary space `O(max(m, n))` *per thread*:
 //! the column stage of one group holds at most
@@ -303,6 +306,85 @@ pub fn transpose_parallel_with<T: Copy + Send + Sync>(
     }
 }
 
+/// Parallel in-place transpose of a byte buffer holding `rows x cols`
+/// elements of `elem_size` bytes each, in `layout`, for callers that know
+/// an element's size but not its type (file tools, FFI).
+///
+/// Element sizes 1, 2, 4, 8 and 16 run on the parallel engine: the
+/// buffer is viewed in place as `[u8; elem_size]` elements and handed to
+/// [`transpose_parallel_with`] with default [`ParOptions`]. Every other
+/// size runs the sequential `ipt_core::erased` path (`c2r_erased` /
+/// `r2c_erased` for a forced direction, `transpose_erased` for
+/// [`ipt_core::Algorithm::Auto`]), which cannot abort. Either way the
+/// output is byte-identical to `ipt_core::erased`.
+///
+/// ```
+/// use ipt_core::{Algorithm, Layout};
+/// use ipt_parallel::transpose_bytes;
+///
+/// // A 2 x 3 matrix of 2-byte elements.
+/// let mut a = vec![0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5];
+/// transpose_bytes(&mut a, 2, 3, 2, Layout::RowMajor, Algorithm::Auto).unwrap();
+/// assert_eq!(a, [0, 0, 3, 3, 1, 1, 4, 4, 2, 2, 5, 5]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `elem_size == 0` or `data.len() != rows * cols * elem_size`
+/// (validate untrusted shapes first with
+/// `ipt_core::error::validate_erased`).
+pub fn transpose_bytes(
+    data: &mut [u8],
+    rows: usize,
+    cols: usize,
+    elem_size: usize,
+    layout: Layout,
+    algorithm: ipt_core::Algorithm,
+) -> Result<(), TransposeAborted> {
+    assert!(elem_size > 0, "element size must be positive");
+    assert_eq!(
+        rows.checked_mul(cols)
+            .and_then(|e| e.checked_mul(elem_size)),
+        Some(data.len()),
+        "buffer length must be rows * cols * elem_size"
+    );
+    let opts = ParOptions::default();
+    match elem_size {
+        1 => transpose_parallel_with(as_elems::<1>(data), rows, cols, layout, algorithm, &opts),
+        2 => transpose_parallel_with(as_elems::<2>(data), rows, cols, layout, algorithm, &opts),
+        4 => transpose_parallel_with(as_elems::<4>(data), rows, cols, layout, algorithm, &opts),
+        8 => transpose_parallel_with(as_elems::<8>(data), rows, cols, layout, algorithm, &opts),
+        16 => transpose_parallel_with(as_elems::<16>(data), rows, cols, layout, algorithm, &opts),
+        _ => {
+            let (m, n) = match layout {
+                Layout::RowMajor => (rows, cols),
+                Layout::ColMajor => (cols, rows),
+            };
+            match algorithm {
+                ipt_core::Algorithm::C2r => ipt_core::erased::c2r_erased(data, m, n, elem_size),
+                ipt_core::Algorithm::R2c => ipt_core::erased::r2c_erased(data, n, m, elem_size),
+                ipt_core::Algorithm::Auto => {
+                    ipt_core::erased::transpose_erased(data, rows, cols, elem_size, layout)
+                }
+            }
+            Ok(())
+        }
+    }
+}
+
+/// View a byte buffer in place as `[u8; N]` elements (trailing bytes
+/// short of a whole element are left out).
+///
+/// `<[u8]>::as_chunks_mut` does the same safely but needs Rust 1.88,
+/// newer than the workspace's `rust-version`.
+fn as_elems<const N: usize>(data: &mut [u8]) -> &mut [[u8; N]] {
+    // SAFETY: `[u8; N]` has size `N` and alignment 1, so every byte
+    // pointer is aligned for it and `len / N` elements span at most
+    // `data.len()` initialized bytes. The result reborrows `data`
+    // mutably for its whole lifetime, so nothing else can alias it.
+    unsafe { std::slice::from_raw_parts_mut(data.as_mut_ptr().cast::<[u8; N]>(), data.len() / N) }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,6 +556,50 @@ mod tests {
         let pass = 2 * (m * n * core::mem::size_of::<u64>()) as u64;
         assert_eq!(d.phase(phases::ROW_SHUFFLE).unwrap().bytes, pass);
         assert_eq!(d.phase(phases::COL_SHUFFLE).unwrap().bytes, pass);
+    }
+
+    #[test]
+    fn transpose_bytes_matches_erased() {
+        let _serial = stats_lock();
+        crate::force_multithreaded_pool();
+        let mut shapes = sizes();
+        // 1 x N, N x 1, prime x prime, gcd 24 and a skinny shape; the
+        // larger ones spread each phase across the pool's workers.
+        shapes.extend_from_slice(&[(1, 300), (300, 1), (67, 71), (96, 72), (1000, 5)]);
+        for elem in [1usize, 2, 3, 4, 5, 8, 12, 16, 24] {
+            for &(r, c) in &shapes {
+                let orig: Vec<u8> = (0..r * c * elem)
+                    .map(|x| (x.wrapping_mul(2654435761) >> 7) as u8)
+                    .collect();
+                for layout in [Layout::RowMajor, Layout::ColMajor] {
+                    let mut want = orig.clone();
+                    ipt_core::erased::transpose_erased(&mut want, r, c, elem, layout);
+                    for alg in [
+                        ipt_core::Algorithm::C2r,
+                        ipt_core::Algorithm::R2c,
+                        ipt_core::Algorithm::Auto,
+                    ] {
+                        let mut got = orig.clone();
+                        transpose_bytes(&mut got, r, c, elem, layout, alg).unwrap();
+                        assert!(got == want, "{r}x{c} elem={elem} {layout:?} {alg:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows * cols * elem_size")]
+    fn transpose_bytes_rejects_overflowing_shapes() {
+        transpose_bytes(
+            &mut [0u8; 8],
+            usize::MAX,
+            2,
+            4,
+            Layout::RowMajor,
+            ipt_core::Algorithm::Auto,
+        )
+        .unwrap();
     }
 
     #[test]

@@ -28,12 +28,14 @@
 #   tier 3  miri         cargo +nightly miri over ipt-core + ipt-pool;
 #                        skips gracefully when no nightly+miri toolchain
 #                        is installed (CI runs it as a soft-fail job)
-#   tier 3  fault smoke  an IPT_FAULT=panic:0.05 bench run must exit
-#                        with a structured TransposeAborted (code 4) —
-#                        never a SIGSEGV/abort — proving panic
-#                        containment end to end through the CLI
-#   tier 3  recovery     the same fault-armed bench with IPT_RETRY=2 must
-#                        now *complete* (exit 0, gates evaluated) — journal
+#   tier 3  fault smoke  an IPT_FAULT=panic:0.05 bench run, and an
+#                        ipt-cli transpose of a generated file, must
+#                        exit with a structured TransposeAborted
+#                        (code 4) — never a SIGSEGV/abort — proving
+#                        panic containment end to end through the CLI
+#   tier 3  recovery     the same fault-armed bench and file transpose
+#                        with IPT_RETRY=2 must now *complete* (exit 0,
+#                        gates evaluated, the file verifies) — journal
 #                        rollback plus sequential redo healing every
 #                        injected fault —
 #                        and an IPT_FAULT=hang:1 run under IPT_WATCHDOG_MS
@@ -93,6 +95,12 @@ contained_bench() {
     out="$(IPT_FAULT=panic:0.05 IPT_CHECK=1 \
         target/release/ipt-cli bench --suite parallel --quick --samples 2 \
         --out "$(mktemp)" "$@" 2>&1)" || rc=$?
+    check_contained "$rc" "$out"
+}
+
+# The containment contract on one finished run: exit code $1, output $2.
+check_contained() {
+    local rc="$1" out="$2"
     case "$rc" in
         4)
             if ! grep -q "transpose aborted in phase" <<< "$out"; then
@@ -114,6 +122,37 @@ contained_bench() {
             return 1
             ;;
     esac
+}
+
+# The file commands under the same fault dose: `gen`, then `transpose` of
+# a gcd > 1 shape whose 8-byte elements run on the parallel engine, with
+# IPT_RETRY=$1. Unarmed (0), the containment contract above applies and
+# the file must be left as it was on abort; armed (> 0), the transpose
+# must exit 0 and `verify` must pass.
+cli_file_smoke() {
+    local retry="$1" f out rc=0 ok=1
+    local shape=(--rows 1536 --cols 1024 --elem-size 8)
+    f="$(mktemp)"
+    target/release/ipt-cli gen "$f" "${shape[@]}" > /dev/null
+    cp "$f" "$f.orig"
+    out="$(IPT_FAULT=panic:0.05 IPT_CHECK=1 IPT_RETRY="$retry" \
+        target/release/ipt-cli transpose "$f" "${shape[@]}" 2>&1)" || rc=$?
+    if [ "$retry" -eq 0 ]; then
+        check_contained "$rc" "$out" || ok=0
+        if [ "$rc" -eq 4 ] && ! cmp -s "$f" "$f.orig"; then
+            echo "cli file smoke: an aborted transpose rewrote its file"
+            ok=0
+        fi
+    elif [ "$rc" -ne 0 ]; then
+        echo "$out"
+        echo "cli file smoke: armed transpose must exit 0, got $rc"
+        ok=0
+    elif ! target/release/ipt-cli verify "$f" "${shape[@]}"; then
+        echo "cli file smoke: armed transpose exited 0 but did not verify"
+        ok=0
+    fi
+    rm -f "$f" "$f.orig"
+    [ "$ok" -eq 1 ]
 }
 
 miri_stage() {
@@ -140,6 +179,9 @@ fault_stage() {
     # suite under a 5% per-item panic rate (contract in contained_bench).
     cargo build --release -p ipt-cli --features fault-inject --quiet
     contained_bench
+
+    stage "fault smoke: ipt-cli transpose of a file under faults (tier 3)"
+    cli_file_smoke 0
 }
 
 recovery_stage() {
@@ -173,6 +215,9 @@ recovery_stage() {
         echo "recovery smoke: WARNING: armed bench saw no injection" \
              "(deterministic decisions all missed)"
     fi
+
+    stage "recovery: ipt-cli transpose of a file heals under faults (tier 3)"
+    cli_file_smoke 2
 
     stage "hang smoke: watchdog must exit 5, never wedge (tier 3)"
     # A 100% hang rate stalls the first parallel task forever; the

@@ -100,6 +100,10 @@ fn soak_erased_all_element_sizes() {
         let orig: Vec<u8> = (0..m * n * elem).map(|_| rng.next_u64() as u8).collect();
         let mut a = orig.clone();
         ipt_core::erased::transpose_erased(&mut a, m, n, elem, Layout::RowMajor);
+        let mut b = orig.clone();
+        ipt_parallel::transpose_bytes(&mut b, m, n, elem, Layout::RowMajor, Algorithm::Auto)
+            .unwrap();
+        assert!(b == a, "transpose_bytes elem={elem} {m}x{n}");
         for i in 0..n {
             for j in 0..m {
                 assert_eq!(
